@@ -15,9 +15,23 @@ Implements, for the joint threshold-crossing model in `dgp`:
   the remaining interval width (C4), and the instrument identification
   power IIP = C1 + C2.
 
-Every reported quantity is also exposed as a flat family of sup/inf
-member values (`BoundsStructure`) so that estimation code can re-evaluate
-the same members at parameter draws.
+Every quantity comes out of one bound engine, in five steps:
+
+1. grouping: `dgp.SupportPartition` groups the raw instrument support by
+   the used-instrument key, once per report;
+2. cells: `SupportPartition.group_cells` gives the observable group cells
+   for a batch of R parameter values at the evaluation point and the
+   covariate grid;
+3. families: `_solve` matches propensities across the grid and flattens
+   every sup/inf bounding step into a family of member values
+   (`BoundsStructure`), with the CPS support and the ATE sign;
+4. evaluation: `_family_values` holds the member formulas; it evaluates
+   the families on the solve's own cells (population values) and, in
+   `evaluate_draws`, at R parameter draws with the structure frozen (a
+   point estimate is a batch of one);
+5. assembly: `assemble` turns the sup/inf steps into the benchmark,
+   widest and two-layer intervals and C1-C4, for population reports,
+   plug-in estimates and corrected estimates alike.
 """
 
 from __future__ import annotations
@@ -27,14 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import (
+    _TIE,
+    CpsSupport,
     Discrete,
     Normal,
-    cell_probs_arrays,
-    cps_support,
+    SupportPartition,
     identity_iv_set,
-    iv_support,
-    norm_cdf,
-    nu1,
+    true_ate,
 )
 from .gaussian import normal_quadrature
 
@@ -49,15 +62,21 @@ __all__ = [
     "widest_bounds",
     "h_func",
     "sv_bounds",
-    "decompose",
     "iip",
     "iip_average",
     "population_report",
     "build_structure",
     "evaluate_structure",
+    "evaluate_draws",
+    "intervals_from_values",
+    "assemble",
 ]
 
-_TIE = 1e-12
+# default covariate lattice for a normal covariate: mean +/- 4 sd in 0.01 steps
+_GRID_STEP = 0.01
+_GRID_SPAN_SD = 4.0
+# parameter draws evaluated together; bounds the kernel's temporaries
+_DRAW_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -88,9 +107,6 @@ class MatchConfig:
 
     tolerance_c: float = 0.01
     covariate_grid: tuple = None
-    grid_step: float = 0.01
-    grid_span_sd: float = 4.0
-    check_h_sign: bool = True
 
 
 def default_covariate_grid(spec, match=None):
@@ -103,142 +119,20 @@ def default_covariate_grid(spec, match=None):
     if isinstance(dist, Discrete):
         return np.array([np.atleast_1d(v) for v in dist.values], dtype=float)
     if isinstance(dist, Normal):
-        lo = dist.mean - match.grid_span_sd * dist.sd
-        hi = dist.mean + match.grid_span_sd * dist.sd
-        n = int(round((hi - lo) / match.grid_step))
+        lo = dist.mean - _GRID_SPAN_SD * dist.sd
+        hi = dist.mean + _GRID_SPAN_SD * dist.sd
+        n = int(round((hi - lo) / _GRID_STEP))
         return np.linspace(lo, hi, n + 1).reshape(-1, 1)
     raise ValueError(f"no default grid for covariate distribution {dist!r}")
 
 
-class SupportPartition:
-    """Raw instrument support grouped by the used-instrument key.
-
-    The grouping does not depend on the covariate value, so a single
-    partition serves the evaluation point and every grid point; only the
-    normal-CDF values change.
-    """
-
-    def __init__(self, spec, ivset):
-        pts = iv_support(spec)
-        if not pts:
-            raise ValueError("instrument support is empty")
-        self.z_raw = np.array([z for z, _ in pts], dtype=float)
-        self.mass = np.array([m for _, m in pts], dtype=float)
-        groups = {}
-        for i, (z, _) in enumerate(pts):
-            groups.setdefault(ivset.transform(z), []).append(i)
-        self.groups = [np.array(ix) for ix in groups.values()]
-        self.gmass = np.array([self.mass[ix].sum() for ix in self.groups])
-        self._weights = [self.mass[ix] / self.mass[ix].sum() for ix in self.groups]
-
-    @property
-    def n_groups(self):
-        return len(self.groups)
-
-    def pvalues(self, pi_x, gamma):
-        """Group propensities at index offset(s) pi_x: (G, T) array."""
-        off = self.z_raw @ np.asarray(gamma, dtype=float)
-        cdf = norm_cdf(np.add.outer(np.atleast_1d(pi_x).astype(float), off))
-        cols = [cdf[:, ix] @ w for ix, w in zip(self.groups, self._weights)]
-        return np.column_stack(cols)
-
-    def group_cells(self, pi_x, gamma, v1, v0, rho):
-        """Observable cells per group, averaged over the omitted
-        instruments: (G, T) arrays (p11, p10, p).
-
-        Conditioning on a used-instrument group leaves the omitted
-        instruments random, so each cell is the mass-weighted mixture of
-        cells over the group's raw support, not the cell at the averaged
-        propensity.
-        """
-        off = self.z_raw @ np.asarray(gamma, dtype=float)
-        q = norm_cdf(np.add.outer(np.atleast_1d(pi_x).astype(float), off))
-        v1 = np.atleast_1d(np.asarray(v1, dtype=float))
-        v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-        c11, c10, _, _ = cell_probs_arrays(v1[:, None], v0[:, None], q, rho)
-        p11 = np.column_stack([c11[:, ix] @ w for ix, w in zip(self.groups, self._weights)])
-        p10 = np.column_stack([c10[:, ix] @ w for ix, w in zip(self.groups, self._weights)])
-        p = np.column_stack([q[:, ix] @ w for ix, w in zip(self.groups, self._weights)])
-        return p11, p10, p
+def _c_eff(spec, tolerance_c):
+    # matching is exact when the covariate does not enter the treatment index
+    return 1e-9 if all(p == 0.0 for p in spec.pi) else tolerance_c
 
 
 # ---------------------------------------------------------------------------
-# point evaluation
-# ---------------------------------------------------------------------------
-
-def _distinct(p, tol=_TIE):
-    out = []
-    for v in np.sort(p):
-        if not out or v - out[-1] > tol:
-            out.append(v)
-    return np.array(out)
-
-
-def _own_group_cells(spec, x, partition):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p11, p10, p = partition.group_cells(
-        float(np.dot(spec.pi, x)), spec.gamma,
-        nu1(spec, 1, x), nu1(spec, 0, x), spec.rho,
-    )
-    return p11[0], p10[0], p[0]
-
-
-def manski_bounds(spec, x, ivset=None):
-    """Bounds from the marginal cells alone; width is exactly one."""
-    ivset = ivset or identity_iv_set(spec.n_instruments)
-    partition = SupportPartition(spec, ivset)
-    p11, p10, pown = _own_group_cells(spec, x, partition)
-    w = partition.gmass
-    p01 = pown - p11
-    p00 = 1.0 - pown - p10
-    return Interval(float(-(w @ p10) - (w @ p01)), float((w @ p11) + (w @ p00)))
-
-
-def identify_sign(spec, x, ivset=None):
-    """Sign of the conditional ATE from Pr[Y=1 | x, p] at the CPS extremes.
-
-    Raises ValueError when the CPS support at x is a single point, in
-    which case the instruments carry no identifying variation.
-    """
-    ivset = ivset or identity_iv_set(spec.n_instruments)
-    partition = SupportPartition(spec, ivset)
-    p11, p10, pown = _own_group_cells(spec, x, partition)
-    if len(_distinct(pown)) < 2:
-        raise ValueError("irrelevant instruments: CPS support at x is degenerate")
-    lo, hi = int(np.argmin(pown)), int(np.argmax(pown))
-    diff = (p11[hi] + p10[hi]) - (p11[lo] + p10[lo])
-    if abs(diff) <= 1e-12:
-        return 0
-    return 1 if diff > 0 else -1
-
-
-def widest_bounds(spec, x, ivset=None):
-    """Bounds using only the two CPS extremes at the evaluation point.
-
-    These are the widest the two-layer bounds can be; their width depends
-    on the instruments solely through the extreme propensities.
-    """
-    ivset = ivset or identity_iv_set(spec.n_instruments)
-    sign = identify_sign(spec, x, ivset)
-    partition = SupportPartition(spec, ivset)
-    p11, p10, pown = _own_group_cells(spec, x, partition)
-    lo, hi = int(np.argmin(pown)), int(np.argmax(pown))
-    p_lo, p_hi = float(pown[lo]), float(pown[hi])
-    a11, a10 = float(p11[lo]), float(p10[lo])
-    b11, b10 = float(p11[hi]), float(p10[hi])
-    if sign == 0:
-        return Interval(0.0, 0.0)
-    if sign > 0:
-        lower = (b11 + b10) - (a11 + a10)
-        upper = b11 + (1.0 - p_hi) - a10
-    else:
-        upper = (b11 + b10) - (a11 + a10)
-        lower = b11 - a10 - p_lo
-    return Interval(lower, upper)
-
-
-# ---------------------------------------------------------------------------
-# two-layer bounds
+# families of sup/inf members
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -260,16 +154,18 @@ class _Family:
 @dataclass
 class BoundsStructure:
     """Everything needed to re-evaluate the bound families at new
-    parameter values with the membership and matching fixed."""
+    parameter values with the membership and matching fixed.
+
+    ``sign`` is None when the CPS support at ``x`` is degenerate; the
+    structure then holds only the benchmark families.
+    """
 
     x: np.ndarray
     grid: np.ndarray
     partition: SupportPartition
-    sign: int
-    c_eff: float
+    sign: object
+    support: CpsSupport
     families: dict
-    sets: dict
-    singleton_grid_index: int  # row of `grid` equal to x
 
 
 def _match_nearest(p_grid_row, p):
@@ -317,59 +213,73 @@ def _build_families(prefix, grid_ok, pstar, jstar, sets):
     return fams
 
 
-def _member_values(form, t, g, j, pown, p11o, p10o, p_grid, p11G, p10G, gmass):
-    """Values of one family's members from the group cell arrays.
+def _family_values(fam, own, grid, pos, gmass):
+    """Member values (R, members) of one family at R parameter points.
 
-    ``p11o``/``p10o``/``pown`` are (T,) own-point group cells; the grid
-    arrays are (G, T) with the matched group picked by ``j``.
+    ``own`` holds the (R, T) own-point group cells (p11, p10, p);
+    ``grid`` the (R, N, T) cells at the grid rows that ``pos`` maps a
+    structure row to.  These are the only copies of the member formulas.
     """
-    if form == "marg_L":
-        return np.array([-(gmass @ p10o) - (gmass @ (pown - p11o))])
-    if form == "marg_U":
-        p00 = 1.0 - p10o - pown  # p10 + p00 = 1 - p
-        return np.array([(gmass @ p11o) + (gmass @ p00)])
-    if form == "p_lo" or form == "p_hi":
+    p11o, p10o, pown = own
+    if fam.form == "marg_L":
+        return (-(p10o @ gmass) - ((pown - p11o) @ gmass))[:, None]
+    if fam.form == "marg_U":
+        return ((p11o @ gmass) + ((1.0 - p10o - pown) @ gmass))[:, None]
+    if fam.form in ("p_lo", "p_hi"):
         return pown.copy()
-    vals = np.empty(len(t))
-    bare = g < 0
-    tb = t[bare]
-    if form == "L1":
-        vals[bare] = p11o[tb]
-    elif form == "U0":
-        vals[bare] = p10o[tb] + pown[tb]
-    elif form == "U1":
-        vals[bare] = p11o[tb] + (1.0 - pown[tb])
-    elif form == "L0":
-        vals[bare] = p10o[tb]
-    else:
-        raise ValueError(form)
-    mb = ~bare
-    tm, gm, jm = t[mb], g[mb], j[mb]
-    ps = np.clip(p_grid[gm, jm], _TIE, 1.0 - _TIE)
-    if form == "L1":
-        vals[mb] = p11o[tm] + p10G[gm, jm]
-    elif form == "U0":
-        vals[mb] = p10o[tm] + pown[tm] * p11G[gm, jm] / ps
-    elif form == "U1":
-        vals[mb] = p11o[tm] + (1.0 - pown[tm]) * p10G[gm, jm] / (1.0 - ps)
-    elif form == "L0":
-        vals[mb] = p10o[tm] + p11G[gm, jm]
-    return vals
+    t, m = fam.t, fam.g >= 0
+    g, j = pos[fam.g[m]], fam.j[m]
+    # the bare member is the empty matched set: it adds 0 to a sup step's
+    # own cell and puts a conditional probability of 1 in an inf step's
+    term = np.full((pown.shape[0], t.size), 0.0 if fam.role == "sup" else 1.0)
+    if fam.form == "L1":
+        term[:, m] = grid[1][:, g, j]
+        return p11o[:, t] + term
+    if fam.form == "L0":
+        term[:, m] = grid[0][:, g, j]
+        return p10o[:, t] + term
+    ps = np.clip(grid[2][:, g, j], _TIE, 1.0 - _TIE)
+    if fam.form == "U0":
+        term[:, m] = grid[0][:, g, j] / ps
+        return p10o[:, t] + pown[:, t] * term
+    term[:, m] = grid[1][:, g, j] / (1.0 - ps)
+    return p11o[:, t] + (1.0 - pown[:, t]) * term
 
 
-def _solve(spec, x, ivset, match, grid=None):
-    """Shared engine: matching, set membership, families, point values."""
+def _values(structure, own, grid, pos):
+    gmass = structure.partition.gmass
+    return {name: _family_values(fam, own, grid, pos, gmass)
+            for name, fam in structure.families.items()}
+
+
+def _solve(spec, x, ivset, match, include_sv=True):
+    """The engine's one pass at x: grouping, cells, CPS support, sign,
+    matching and families, with the families' values at ``spec``.
+
+    Returns (structure, values), values as name -> member array.  With
+    ``include_sv=False`` the covariate grid collapses to x, which is all
+    the benchmark and widest bounds use.  Raises RuntimeError when the
+    pairwise expectation contradicts a set membership.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     partition = SupportPartition(spec, ivset)
-    p11o, p10o, pown = _own_group_cells(spec, x, partition)
-    if len(_distinct(pown)) < 2:
-        raise ValueError("irrelevant instruments: CPS support at x is degenerate")
-    sign = identify_sign(spec, x, ivset)
+    one = partition.spec_cells(spec, x)  # (1, T) cells: a batch of one
+    p11o, p10o, pown = (c[0] for c in one)
+    support = CpsSupport.merged(pown, partition.gmass)
+    T = pown.size
+    fams = {form: _Family(form, role, form, np.arange(n), np.full(n, -1), np.full(n, -1))
+            for form, role, n in (("marg_L", "sup", 1), ("marg_U", "inf", 1),
+                                  ("p_lo", "inf", T), ("p_hi", "sup", T))}
+    if support.degenerate:
+        structure = BoundsStructure(x, x[None], partition, None, support, fams)
+        return structure, {k: v[0] for k, v in _values(structure, one, None, None).items()}
 
-    if grid is None:
-        grid = default_covariate_grid(spec, match)
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[1] != spec.n_covariates:
+    lo, hi = int(np.argmin(pown)), int(np.argmax(pown))
+    diff = (p11o[hi] + p10o[hi]) - (p11o[lo] + p10o[lo])
+    sign = 0 if abs(diff) <= 1e-12 else (1 if diff > 0 else -1)
+
+    grid = default_covariate_grid(spec, match) if include_sv else x[None]
+    if grid.shape[1] != x.size:
         raise ValueError("covariate grid dimension mismatch")
     own_row = np.where(np.all(np.abs(grid - x) <= _TIE, axis=1))[0]
     if len(own_row) == 0:
@@ -379,19 +289,12 @@ def _solve(spec, x, ivset, match, grid=None):
         own_idx = int(own_row[0])
 
     beta = np.asarray(spec.beta)
-    pi = np.asarray(spec.pi)
-    v1x = nu1(spec, 1, x)
-    v0x = nu1(spec, 0, x)
+    v1x = spec.alpha + float(np.dot(beta, x))
+    v0x = float(np.dot(beta, x))
     v1g = spec.alpha + grid @ beta
     v0g = grid @ beta
 
-    exact = bool(np.all(np.asarray(spec.pi) == 0.0))
-    c_eff = 1e-9 if exact else match.tolerance_c
-
-    p11G, p10G, p_grid = partition.group_cells(
-        grid @ pi, spec.gamma, v1g, v0g, spec.rho
-    )  # all (G, T)
-    T = len(pown)
+    p11G, p10G, p_grid = partition.spec_cells(spec, grid)  # all (G, T)
     G = grid.shape[0]
     pstar = np.empty((T, G))
     jstar = np.empty((T, G), dtype=int)
@@ -401,7 +304,7 @@ def _solve(spec, x, ivset, match, grid=None):
         cand = np.where(d <= dmin[:, None], p_grid, np.inf)
         jstar[t] = np.argmin(cand, axis=1)
         pstar[t] = p_grid[np.arange(G), jstar[t]]
-    grid_ok = np.abs(pstar - pown[:, None]) <= c_eff
+    grid_ok = np.abs(pstar - pown[:, None]) <= _c_eff(spec, match.tolerance_c)
 
     sets = {
         "x0p": v1g >= v0x - _TIE,
@@ -410,7 +313,7 @@ def _solve(spec, x, ivset, match, grid=None):
         "x1m": v1x <= v0g + _TIE,
     }
 
-    fams = _build_families("sv_", grid_ok, pstar, jstar, sets)
+    fams.update(_build_families("sv_", grid_ok, pstar, jstar, sets))
     # widest bounds are the same families restricted to x' = x
     own_only = np.zeros(G, dtype=bool)
     own_only[own_idx] = True
@@ -418,41 +321,21 @@ def _solve(spec, x, ivset, match, grid=None):
         "w_", grid_ok & own_only[None, :], pstar, jstar,
         {k: v & own_only for k, v in sets.items()},
     ))
-    for form, role, n in (("marg_L", "sup", 1), ("marg_U", "inf", 1),
-                          ("p_lo", "inf", T), ("p_hi", "sup", T)):
-        fams[form] = _Family(form, role, form,
-                             np.arange(n), np.full(n, -1), np.full(n, -1))
 
-    structure = BoundsStructure(
-        x=x, grid=grid, partition=partition, sign=sign, c_eff=c_eff,
-        families=fams, sets=sets, singleton_grid_index=own_idx,
-    )
+    structure = BoundsStructure(x, grid, partition, sign, support, fams)
     arrays = {
         "pown": pown, "p11o": p11o, "p10o": p10o,
         "pstar": pstar, "p11G": p11G, "p10G": p10G,
-        "p_grid": p_grid, "grid_ok": grid_ok, "jstar": jstar,
+        "grid_ok": grid_ok, "jstar": jstar,
         "v1g": v1g, "v0g": v0g, "v1x": v1x, "v0x": v0x,
     }
-    return structure, arrays
-
-
-def _point_values(structure, arrays):
-    """Point value of every family (dict name -> member value array)."""
-    out = {}
-    for name, fam in structure.families.items():
-        out[name] = _member_values(
-            fam.form, fam.t, fam.g, fam.j,
-            arrays["pown"], arrays["p11o"], arrays["p10o"],
-            arrays["p_grid"], arrays["p11G"], arrays["p10G"],
-            structure.partition.gmass,
-        )
-    return out
-
-
-def _combine(values, prefix):
-    lower = float(np.max(values[f"{prefix}L1"])) - float(np.min(values[f"{prefix}U0"]))
-    upper = float(np.min(values[f"{prefix}U1"])) - float(np.max(values[f"{prefix}L0"]))
-    return Interval(lower, upper)
+    mism = _h_sign_check(structure, arrays)
+    if mism:
+        raise RuntimeError(f"sign of pairwise expectation disagrees with "
+                           f"the latent comparison at grid rows {mism[:3]}")
+    cells = (p11G[None], p10G[None], p_grid[None])
+    values = _values(structure, one, cells, np.arange(G))
+    return structure, {k: v[0] for k, v in values.items()}
 
 
 def _h_sign_check(structure, arrays):
@@ -500,60 +383,8 @@ def _h_sign_check(structure, arrays):
     return mism
 
 
-def sv_bounds(spec, x, ivset=None, match=None):
-    """Two-layer intersection bounds at x.
-
-    The outer layer intersects over the CPS support at x; the inner layer
-    matches covariate points x' on the grid where a propensity within
-    ``tolerance_c`` of the outer value is attainable.  Supremum over an
-    empty set is 0, infimum is 1.
-    """
-    ivset = ivset or identity_iv_set(spec.n_instruments)
-    match = match or MatchConfig()
-    structure, arrays = _solve(spec, x, ivset, match)
-    values = _point_values(structure, arrays)
-    if match.check_h_sign:
-        mism = _h_sign_check(structure, arrays)
-        if mism:
-            raise RuntimeError(f"sign of pairwise expectation disagrees with "
-                               f"the latent comparison at grid rows {mism[:3]}")
-    return _combine(values, "sv_")
-
-
-def h_func(spec, x, xprime, p, pprime, ivset=None, match=None):
-    """Observable rectangle contrast h(x, x', p, p').
-
-    Both propensities must be attainable (within the matching tolerance)
-    at both covariate points, else the conditional probabilities are not
-    well defined.
-    """
-    ivset = ivset or identity_iv_set(spec.n_instruments)
-    match = match or MatchConfig()
-    partition = SupportPartition(spec, ivset)
-    exact = bool(np.all(np.asarray(spec.pi) == 0.0))
-    c_eff = 1e-9 if exact else match.tolerance_c
-
-    def cells_at(point, prob):
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        p11, p10, row = partition.group_cells(
-            float(np.dot(spec.pi, point)), spec.gamma,
-            nu1(spec, 1, point), nu1(spec, 0, point), spec.rho,
-        )
-        pm, j = _match_nearest(row[0], prob)
-        if abs(pm - prob) > c_eff:
-            raise ValueError("probabilities not well defined: propensity "
-                             f"{prob} unattainable at covariate point {point}")
-        return float(p11[0, j]), float(p10[0, j])
-
-    p11_hi, _ = cells_at(xprime, p)
-    p11_lo, _ = cells_at(xprime, pprime)
-    _, p10_hi = cells_at(x, p)
-    _, p10_lo = cells_at(x, pprime)
-    return p11_hi - p11_lo - p10_lo + p10_hi
-
-
 # ---------------------------------------------------------------------------
-# decomposition and reports
+# assembly and reports
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -574,45 +405,121 @@ class BoundsReport:
     ate_model: float
 
 
+def assemble(steps, sign, include_sv=True):
+    """Benchmark, widest and two-layer intervals with C1-C4 and IIP.
+
+    ``steps`` maps each family name to its member values (a point
+    evaluation) or to its step value already taken (a corrected
+    estimate): a sup step is the largest entry, an inf step the
+    smallest.  ``sign`` None marks irrelevant instruments, where every
+    interval is the benchmark one.  Without ``include_sv`` the two-layer
+    interval is the widest one.  Returns the fields of a report as a dict.
+    """
+    def intersection(prefix):
+        return Interval(
+            float(np.max(steps[prefix + "L1"])) - float(np.min(steps[prefix + "U0"])),
+            float(np.min(steps[prefix + "U1"])) - float(np.max(steps[prefix + "L0"])))
+
+    manski = Interval(float(np.max(steps["marg_L"])), float(np.min(steps["marg_U"])))
+    if sign is None:
+        return dict(manski=manski, widest=manski, sv=manski,
+                    c1=0.0, c2=0.0, c3=0.0, c4=manski.width, iip=0.0)
+    widest = Interval(0.0, 0.0) if sign == 0 else intersection("w_")
+    sv = intersection("sv_") if include_sv else widest
+    c1 = (manski.upper if sign <= 0 else 0.0) - (manski.lower if sign >= 0 else 0.0)
+    c2 = manski.width - widest.width - c1
+    return dict(manski=manski, widest=widest, sv=sv,
+                c1=c1, c2=c2, c3=widest.width - sv.width, c4=sv.width, iip=c1 + c2)
+
+
+def intervals_from_values(values, sign):
+    """Assemble benchmark/widest/two-layer intervals from family values."""
+    parts = assemble(values, sign)
+    return parts["manski"], parts["widest"], parts["sv"]
+
+
 def population_report(spec, x, ivset=None, match=None, include_sv=True):
-    """Full report at x: all bounds, decomposition, IIP, CPS range."""
+    """Full report at x: all bounds, decomposition, IIP, CPS range.
+
+    With ``include_sv=False`` the two-layer interval is the widest one
+    and the covariate grid is never built.
+    """
     ivset = ivset or identity_iv_set(spec.n_instruments)
     match = match or MatchConfig()
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    support = cps_support(spec, x_arr, ivset)
-    manski = manski_bounds(spec, x_arr, ivset)
-    ate = float(norm_cdf(nu1(spec, 1, x_arr)) - norm_cdf(nu1(spec, 0, x_arr)))
-    if support.degenerate:
-        return BoundsReport(
-            x=tuple(x_arr), sign=None, irrelevant=True,
-            manski=manski, widest=manski, sv=manski,
-            c1=0.0, c2=0.0, c3=0.0, c4=manski.width, iip=0.0,
-            cps_lo=support.p_lo, cps_hi=support.p_hi, ate_model=ate,
-        )
-    sign = identify_sign(spec, x_arr, ivset)
-    widest = widest_bounds(spec, x_arr, ivset)
-    if include_sv:
-        sv = sv_bounds(spec, x_arr, ivset, match)
-    else:
-        sv = widest
-    c1 = (1.0 if sign <= 0 else 0.0) * manski.upper \
-        - (1.0 if sign >= 0 else 0.0) * manski.lower
-    c2 = manski.width - widest.width - c1
-    c3 = widest.width - sv.width
-    c4 = sv.width
+    structure, values = _solve(spec, x, ivset, match, include_sv)
     return BoundsReport(
-        x=tuple(x_arr), sign=sign, irrelevant=False,
-        manski=manski, widest=widest, sv=sv,
-        c1=c1, c2=c2, c3=c3, c4=c4, iip=c1 + c2,
-        cps_lo=support.p_lo, cps_hi=support.p_hi, ate_model=ate,
+        x=tuple(structure.x), sign=structure.sign, irrelevant=structure.sign is None,
+        **assemble(values, structure.sign, include_sv),
+        cps_lo=structure.support.p_lo, cps_hi=structure.support.p_hi,
+        ate_model=true_ate(spec, structure.x),
     )
 
 
-def decompose(spec, x, ivset=None, match=None):
-    """Identification-gain components (C1, C2, C3, C4); they sum to the
-    benchmark width.  Irrelevant instruments give (0, 0, 0, width)."""
-    rep = population_report(spec, x, ivset, match)
-    return rep.c1, rep.c2, rep.c3, rep.c4
+def _relevant(report):
+    if report.irrelevant:
+        raise ValueError("irrelevant instruments: CPS support at x is degenerate")
+    return report
+
+
+def manski_bounds(spec, x, ivset=None):
+    """Bounds from the marginal cells alone; width is exactly one."""
+    return population_report(spec, x, ivset, include_sv=False).manski
+
+
+def identify_sign(spec, x, ivset=None):
+    """Sign of the conditional ATE from Pr[Y=1 | x, p] at the CPS extremes.
+
+    Raises ValueError when the CPS support at x is a single point, in
+    which case the instruments carry no identifying variation.
+    """
+    return _relevant(population_report(spec, x, ivset, include_sv=False)).sign
+
+
+def widest_bounds(spec, x, ivset=None):
+    """Bounds using only the two CPS extremes at the evaluation point.
+
+    These are the widest the two-layer bounds can be; their width depends
+    on the instruments solely through the extreme propensities.
+    """
+    return _relevant(population_report(spec, x, ivset, include_sv=False)).widest
+
+
+def sv_bounds(spec, x, ivset=None, match=None):
+    """Two-layer intersection bounds at x.
+
+    The outer layer intersects over the CPS support at x; the inner layer
+    matches covariate points x' on the grid where a propensity within
+    ``tolerance_c`` of the outer value is attainable.  Supremum over an
+    empty set is 0, infimum is 1.
+    """
+    return _relevant(population_report(spec, x, ivset, match)).sv
+
+
+def h_func(spec, x, xprime, p, pprime, ivset=None, match=None):
+    """Observable rectangle contrast h(x, x', p, p').
+
+    Both propensities must be attainable (within the matching tolerance)
+    at both covariate points, else the conditional probabilities are not
+    well defined.
+    """
+    ivset = ivset or identity_iv_set(spec.n_instruments)
+    match = match or MatchConfig()
+    partition = SupportPartition(spec, ivset)
+    c_eff = _c_eff(spec, match.tolerance_c)
+
+    def cells_at(point, prob):
+        p11, p10, row = partition.spec_cells(spec, point)
+        pm, j = _match_nearest(row[0], prob)
+        if abs(pm - prob) > c_eff:
+            raise ValueError("probabilities not well defined: propensity "
+                             f"{prob} unattainable at covariate point {point}")
+        return float(p11[0, j]), float(p10[0, j])
+
+    p11_hi, _ = cells_at(xprime, p)
+    p11_lo, _ = cells_at(xprime, pprime)
+    _, p10_hi = cells_at(x, p)
+    _, p10_lo = cells_at(x, pprime)
+    return p11_hi - p11_lo - p10_lo + p10_hi
 
 
 def iip(spec, x, ivset=None, match=None):
@@ -653,66 +560,42 @@ def iip_average(spec, ivset=None, x_weights=None, match=None, n_nodes=64):
 def build_structure(spec, x, ivset=None, match=None):
     """Fixed family structure for draw-based re-evaluation.
 
-    Membership, matching and the ATE sign are frozen at ``spec``.
+    Membership, matching and the ATE sign are frozen at ``spec``; the
+    sign is None when the CPS support at x is degenerate.
     """
     ivset = ivset or identity_iv_set(spec.n_instruments)
-    match = match or MatchConfig()
-    structure, arrays = _solve(spec, x, ivset, match)
-    if match.check_h_sign:
-        mism = _h_sign_check(structure, arrays)
-        if mism:
-            raise RuntimeError(f"sign of pairwise expectation disagrees with "
-                               f"the latent comparison at grid rows {mism[:3]}")
-    return structure
+    return _solve(spec, x, ivset, match or MatchConfig())[0]
+
+
+def evaluate_draws(structure, alphas, betas, pis, gammas, rhos):
+    """Member values of every family at R parameter draws.
+
+    ``alphas`` and ``rhos`` are (R,), ``betas`` and ``pis`` (R, k) and
+    ``gammas`` (R, m).  Returns dict name -> (R, members).  Only the grid
+    rows some family references are evaluated, in chunks of draws.
+    """
+    G = structure.grid.shape[0]
+    rows = np.unique(np.concatenate([f.g[f.g >= 0] for f in structure.families.values()]))
+    pos = np.full(G, -1)
+    pos[rows] = np.arange(rows.size)
+    points = np.vstack([structure.x, structure.grid[rows]])
+    R = alphas.size
+    out = {name: np.empty((R, fam.t.size)) for name, fam in structure.families.items()}
+    for lo in range(0, R, _DRAW_CHUNK):
+        sl = slice(lo, lo + _DRAW_CHUNK)
+        cells = structure.partition.group_cells(
+            alphas[sl], betas[sl], pis[sl], gammas[sl], rhos[sl], points)
+        own = tuple(c[:, 0] for c in cells)
+        grid = tuple(c[:, 1:] for c in cells)
+        for name, vals in _values(structure, own, grid, pos).items():
+            out[name][sl] = vals
+    return out
 
 
 def evaluate_structure(structure, alpha, beta, pi, gamma, rho):
     """Member values of every family at one parameter point."""
-    alpha = float(alpha)
-    rho = float(rho)
-    beta = np.asarray(beta, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    part = structure.partition
-    x = structure.x
-    grid = structure.grid
-    v1x = alpha + float(np.dot(beta, x))
-    v0x = float(np.dot(beta, x))
-    o11, o10, opown = part.group_cells(float(np.dot(pi, x)), gamma, v1x, v0x, rho)
-    p11o, p10o, pown = o11[0], o10[0], opown[0]
-
-    T = len(pown)
-    G = grid.shape[0]
-    rows = np.zeros(G, dtype=bool)
-    for fam in structure.families.values():
-        rows[fam.g[fam.g >= 0]] = True
-    p_grid = np.zeros((G, T))
-    p11G = np.zeros((G, T))
-    p10G = np.zeros((G, T))
-    idx = np.where(rows)[0]
-    if idx.size:
-        sub = grid[idx]
-        v1g = alpha + sub @ beta
-        v0g = sub @ beta
-        c11, c10, cp = part.group_cells(sub @ pi, gamma, v1g, v0g, rho)
-        p11G[idx] = c11
-        p10G[idx] = c10
-        p_grid[idx] = cp
-
-    out = {}
-    for name, fam in structure.families.items():
-        out[name] = _member_values(
-            fam.form, fam.t, fam.g, fam.j,
-            pown, p11o, p10o, p_grid, p11G, p10G, part.gmass,
-        )
-    return out
-
-
-def intervals_from_values(values, sign):
-    """Assemble benchmark/widest/two-layer intervals from family values."""
-    manski = Interval(float(values["marg_L"][0]), float(values["marg_U"][0]))
-    if sign == 0:
-        widest = Interval(0.0, 0.0)
-    else:
-        widest = _combine(values, "w_")
-    sv = _combine(values, "sv_")
-    return manski, widest, sv
+    values = evaluate_draws(
+        structure, np.array([float(alpha)]), np.array([beta], dtype=float),
+        np.array([pi], dtype=float), np.array([gamma], dtype=float),
+        np.array([float(rho)]))
+    return {name: vals[0] for name, vals in values.items()}

@@ -24,11 +24,8 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import chi2
 
-from .bounds import (
-    BoundsReport, Interval, MatchConfig, build_structure, evaluate_structure,
-    intervals_from_values, population_report,
-)
-from .dgp import IvSet, cps_support, spec_from_dict, spec_to_dict
+from .bounds import BoundsReport, Interval, MatchConfig, population_report
+from .dgp import IvSet, spec_from_dict, spec_to_dict
 from .estimation import (
     Dataset, EstimatedReport, FitResult, HmueConfig, bootstrap_dispersion,
     estimated_report, fit_bivariate_probit, fit_probit, fitted_spec,
@@ -566,10 +563,7 @@ def empirical_curves(data, iv_sets, match, bandwidth=None, n_grid=99):
     afit = fit_probit(base, "y", ("const", "x1"))
     pr_agree = ndtr(afit.params[0] + afit.params[1] * grid)
 
-    aug_grid = np.column_stack([np.ones(grid.size), grid])
-    match_hat = MatchConfig(tolerance_c=match.tolerance_c,
-                            covariate_grid=aug_grid,
-                            check_h_sign=match.check_h_sign)
+    match_hat = MatchConfig(match.tolerance_c, np.column_stack([np.ones(grid.size), grid]))
     curves = []
     fits = {}
     for ivset in iv_sets:
@@ -579,29 +573,20 @@ def empirical_curves(data, iv_sets, match, bandwidth=None, n_grid=99):
             raise RuntimeError(f"joint fit did not converge for {ivset.name}")
         fits[ivset.name] = fit
         spec_hat, iv_id = fitted_spec(fit, sub)
-        degenerate = cps_support(spec_hat, np.array([1.0, grid[0]]), iv_id).degenerate
         for j, g in enumerate(grid):
             row = {"iv_set": ivset.name, "q": qs[j] if grid.size == n_grid else math.nan,
                    "x_p": g, "weight": weights[j],
                    "L_M": pr_agree[j] - 1.0, "U_M": pr_agree[j]}
-            if degenerate:
+            rep = population_report(spec_hat, (1.0, g), iv_id, match_hat)
+            if rep.irrelevant:
                 row.update(sign="", C1=0.0, C2=0.0, C3=0.0, C4=1.0, IIP=0.0,
                            L_bar=pr_agree[j] - 1.0, U_bar=pr_agree[j],
                            L_SV=pr_agree[j] - 1.0, U_SV=pr_agree[j])
-                curves.append(row)
-                continue
-            structure = build_structure(spec_hat, (1.0, g), iv_id, match_hat)
-            vals = evaluate_structure(structure, spec_hat.alpha, spec_hat.beta,
-                                      spec_hat.pi, spec_hat.gamma, spec_hat.rho)
-            manski, widest, sv = intervals_from_values(vals, structure.sign)
-            c1 = ((manski.upper if structure.sign <= 0 else 0.0)
-                  - (manski.lower if structure.sign >= 0 else 0.0))
-            c2 = manski.width - widest.width - c1
-            row.update(sign=int(structure.sign),
-                       L_bar=widest.lower, U_bar=widest.upper,
-                       L_SV=sv.lower, U_SV=sv.upper,
-                       C1=c1, C2=c2, C3=widest.width - sv.width,
-                       C4=sv.width, IIP=c1 + c2)
+            else:
+                row.update(sign=int(rep.sign),
+                           L_bar=rep.widest.lower, U_bar=rep.widest.upper,
+                           L_SV=rep.sv.lower, U_SV=rep.sv.upper,
+                           C1=rep.c1, C2=rep.c2, C3=rep.c3, C4=rep.c4, IIP=rep.iip)
             curves.append(row)
     return stage1, fits, float(bandwidth), grid, weights, curves
 

@@ -10,7 +10,9 @@ with standard-normal marginals for (eps1, eps2) coupled by a Gaussian
 copula with dependence rho.  This module evaluates latent indices, the
 conditional propensity score (CPS) and its support under an instrument
 subset, the four (y,d) cell probabilities at a given propensity, and the
-true conditional ATE.
+true conditional ATE.  `SupportPartition` groups the instrument support
+under a subset and gives the group cells for batches of parameter values;
+the bound engine in `bounds` and `cps_support` both use it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "IvSet",
     "CellProbs",
     "CpsSupport",
+    "SupportPartition",
     "nu1",
     "nu2",
     "cps",
@@ -44,6 +47,8 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+# propensities closer than this are one CPS support point
+_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -187,8 +192,10 @@ class CellProbs:
 
     def __post_init__(self):
         total = self.p11 + self.p10 + self.p01 + self.p00
-        assert abs(total - 1.0) <= 1e-10, f"cells sum to {total}"
-        assert min(self.p11, self.p10, self.p01, self.p00) >= -1e-12
+        if not abs(total - 1.0) <= 1e-10:
+            raise ValueError(f"cells sum to {total}")
+        if not min(self.p11, self.p10, self.p01, self.p00) >= -1e-12:
+            raise ValueError("negative cell probability")
 
     @property
     def p(self):
@@ -206,8 +213,22 @@ class CpsSupport:
     points: tuple  # tuple of (p, mass)
 
     def __post_init__(self):
-        assert abs(sum(m for _, m in self.points) - 1.0) <= 1e-9
+        total = sum(m for _, m in self.points)
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValueError(f"support masses sum to {total}")
         object.__setattr__(self, "points", tuple(sorted(self.points)))
+
+    @classmethod
+    def merged(cls, p, mass):
+        """Support of group propensities ``p`` with masses ``mass``: a
+        propensity within 1e-12 of a point's smallest one joins it."""
+        points = []
+        for k in np.argsort(p, kind="stable"):
+            if points and p[k] - points[-1][0] <= _TIE:
+                points[-1][1] += float(mass[k])
+            else:
+                points.append([float(p[k]), float(mass[k])])
+        return cls(points=tuple((q, m) for q, m in points))
 
     @property
     def p_lo(self):
@@ -265,6 +286,61 @@ def iv_support(spec):
     return list(zip(points, masses))
 
 
+class SupportPartition:
+    """Raw instrument support grouped by the used-instrument key.
+
+    The grouping depends neither on the covariate value nor on the
+    parameters, so one partition serves the evaluation point, every
+    covariate grid point and every parameter draw; only the normal-CDF
+    values change.
+    """
+
+    def __init__(self, spec, ivset):
+        pts = iv_support(spec)
+        if not pts:
+            raise ValueError("instrument support is empty")
+        self.z_raw = np.array([z for z, _ in pts], dtype=float)
+        mass = np.array([m for _, m in pts], dtype=float)
+        keys = {}
+        group = [keys.setdefault(ivset.transform(z), len(keys)) for z, _ in pts]
+        member = np.zeros((len(pts), len(keys)))
+        member[np.arange(len(pts)), group] = 1.0
+        self.gmass = mass @ member
+        # (S, T) mixture weights of each raw point within its group
+        self.weights = member * mass[:, None] / self.gmass
+
+    @property
+    def n_groups(self):
+        return self.gmass.size
+
+    def group_cells(self, alpha, beta, pi, gamma, rho, points):
+        """Observable cells per group for R parameter values at N
+        covariate points: (R, N, T) arrays (p11, p10, p).
+
+        ``alpha`` and ``rho`` are (R,), ``beta`` and ``pi`` (R, k),
+        ``gamma`` (R, m) and ``points`` (N, k).  Conditioning on a
+        used-instrument group leaves the omitted instruments random, so
+        each cell is the mass-weighted mixture of cells over the group's
+        raw support, not the cell at the averaged propensity.
+        """
+        v0 = beta @ points.T
+        q = norm_cdf((pi @ points.T)[..., None] + (gamma @ self.z_raw.T)[:, None, :])
+        c11, c10, _, _ = cell_probs_arrays((alpha[:, None] + v0)[..., None], v0[..., None],
+                                           q, rho[:, None, None])
+        return c11 @ self.weights, c10 @ self.weights, q @ self.weights
+
+    def spec_cells(self, spec, points):
+        """`group_cells` at the parameters of ``spec``: (N, T) arrays."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != spec.n_covariates:
+            raise ValueError(f"covariate points have {points.shape[1]} coordinates, "
+                             f"the model has {spec.n_covariates}")
+        cells = self.group_cells(np.array([spec.alpha]), np.array([spec.beta]),
+                                 np.array([spec.pi]), np.array([spec.gamma]),
+                                 np.array([spec.rho]), points)
+        return tuple(c[0] for c in cells)
+
+
 def cps_support(spec, x, ivset=None):
     """CPS support under an instrument subset, with exact masses.
 
@@ -273,25 +349,9 @@ def cps_support(spec, x, ivset=None):
     over the omitted instruments.  Identical p values (within 1e-12) are
     merged.
     """
-    if ivset is None:
-        ivset = identity_iv_set(spec.n_instruments)
-    groups = {}
-    for z, mass in iv_support(spec):
-        key = ivset.transform(z)
-        p = cps(spec, x, z)
-        acc = groups.setdefault(key, [0.0, 0.0])
-        acc[0] += mass
-        acc[1] += mass * p
-    merged = {}
-    for mass, weighted in groups.values():
-        p = weighted / mass
-        for q in merged:
-            if abs(q - p) <= 1e-12:
-                merged[q] += mass
-                break
-        else:
-            merged[p] = mass
-    return CpsSupport(points=tuple(merged.items()))
+    partition = SupportPartition(spec, ivset or identity_iv_set(spec.n_instruments))
+    _, _, p = partition.spec_cells(spec, _as_vector(x, spec.n_covariates, "x"))
+    return CpsSupport.merged(p[0], partition.gmass)
 
 
 def cell_probs_arrays(v1, v0, p, rho):

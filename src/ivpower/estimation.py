@@ -22,22 +22,13 @@ from scipy.special import log_ndtr, ndtr
 from .bounds import (
     Interval,
     MatchConfig,
-    _TIE,
+    assemble,
     build_structure,
+    evaluate_draws,
     evaluate_structure,
-    intervals_from_values,
-    manski_bounds,
-    widest_bounds,
+    population_report,
 )
-from .dgp import (
-    DgpSpec,
-    JointDiscrete,
-    Normal,
-    cell_probs_arrays,
-    cps_support,
-    identity_iv_set,
-    true_ate,
-)
+from .dgp import DgpSpec, JointDiscrete, Normal, identity_iv_set, true_ate
 from .gaussian import binorm_cdf, norm_pdf, rng_stream
 
 __all__ = [
@@ -54,7 +45,6 @@ __all__ = [
     "biprobit_loglik",
     "fitted_spec",
     "estimated_report",
-    "matched_pairs",
     "hausdorff_interval",
     "bootstrap_dispersion",
 ]
@@ -195,7 +185,8 @@ class FitResult:
         vcov = np.asarray(self.vcov, dtype=float)
         if vcov.shape != (params.size, params.size):
             raise ValueError("vcov shape does not match params")
-        assert np.max(np.abs(vcov - vcov.T)) <= 1e-10
+        if not np.max(np.abs(vcov - vcov.T), initial=0.0) <= 1e-10:
+            raise ValueError("vcov is not symmetric")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "vcov", vcov)
         object.__setattr__(self, "names", tuple(self.names))
@@ -458,95 +449,6 @@ def fitted_spec(fit, data):
 # corrected bound estimates
 # ---------------------------------------------------------------------------
 
-def _draw_family_values(structure, alphas, betas, pis, gammas, rhos, chunk=128):
-    """Member values of every family at each parameter draw.
-
-    Returns dict name -> (n_draws, n_members); row r equals
-    `evaluate_structure` at draw r.
-    """
-    part = structure.partition
-    x = structure.x
-    grid = structure.grid
-    gmass = part.gmass
-    G = grid.shape[0]
-    refd = np.zeros(G, dtype=bool)
-    for fam in structure.families.values():
-        refd[fam.g[fam.g >= 0]] = True
-    idx = np.where(refd)[0]
-    pos = np.full(G, -1)
-    pos[idx] = np.arange(idx.size)
-    sub = grid[idx]
-
-    R = alphas.size
-    out = {name: np.empty((R, fam.t.size)) for name, fam in structure.families.items()}
-
-    def group_average(cells):
-        # mixture over the omitted instruments within each group
-        return np.stack([cells[..., ix] @ w for ix, w in zip(part.groups, part._weights)],
-                        axis=-1)
-
-    for lo in range(0, R, chunk):
-        sl = slice(lo, min(lo + chunk, R))
-        al, be, pe = alphas[sl], betas[sl], pis[sl]
-        ga, rh = gammas[sl], rhos[sl]
-        off = ga @ part.z_raw.T  # (B, S)
-
-        v1x = al + be @ x
-        v0x = be @ x
-        q_own = ndtr((pe @ x)[:, None] + off)
-        c11, c10, _, _ = cell_probs_arrays(v1x[:, None], v0x[:, None], q_own, rh[:, None])
-        p11o = group_average(c11)  # (B, T)
-        p10o = group_average(c10)
-        pown = group_average(q_own)
-
-        if idx.size:
-            v1g = al[:, None] + be @ sub.T  # (B, nG)
-            v0g = be @ sub.T
-            qg = ndtr((pe @ sub.T)[..., None] + off[:, None, :])  # (B, nG, S)
-            g11, g10, _, _ = cell_probs_arrays(
-                v1g[..., None], v0g[..., None], qg, rh[:, None, None])
-            p11G = group_average(g11)  # (B, nG, T)
-            p10G = group_average(g10)
-            pG = group_average(qg)
-
-        for name, fam in structure.families.items():
-            vals = out[name][sl]
-            form = fam.form
-            if form == "marg_L":
-                vals[:, 0] = -(p10o @ gmass) - ((pown - p11o) @ gmass)
-            elif form == "marg_U":
-                vals[:, 0] = (p11o @ gmass) + ((1.0 - p10o - pown) @ gmass)
-            elif form in ("p_lo", "p_hi"):
-                vals[:] = pown
-            else:
-                bare = fam.g < 0
-                tb = fam.t[bare]
-                if form == "L1":
-                    vals[:, bare] = p11o[:, tb]
-                elif form == "U0":
-                    vals[:, bare] = p10o[:, tb] + pown[:, tb]
-                elif form == "U1":
-                    vals[:, bare] = p11o[:, tb] + 1.0 - pown[:, tb]
-                elif form == "L0":
-                    vals[:, bare] = p10o[:, tb]
-                mb = ~bare
-                if np.any(mb):
-                    tm = fam.t[mb]
-                    gm = pos[fam.g[mb]]
-                    jm = fam.j[mb]
-                    ps = np.clip(pG[:, gm, jm], _TIE, 1.0 - _TIE)
-                    if form == "L1":
-                        vals[:, mb] = p11o[:, tm] + p10G[:, gm, jm]
-                    elif form == "U0":
-                        vals[:, mb] = p10o[:, tm] + pown[:, tm] * p11G[:, gm, jm] / ps
-                    elif form == "U1":
-                        vals[:, mb] = (p11o[:, tm]
-                                       + (1.0 - pown[:, tm]) * p10G[:, gm, jm] / (1.0 - ps))
-                    elif form == "L0":
-                        vals[:, mb] = p10o[:, tm] + p11G[:, gm, jm]
-    return out
-
-
 @dataclass(frozen=True)
 class EstimatedReport:
     """Corrected bound estimates at one covariate value.
@@ -585,7 +487,7 @@ class EstimatedReport:
 
 
 def _corrected_steps(structure, point_vals, fam_draws, quantiles):
-    """Bias-corrected sup/inf step values, keyed by (family, quantile).
+    """Bias-corrected sup/inf step values: quantile -> family -> value.
 
     Within each family the member spread over the parameter draws gives
     a standard error s_j; the critical value k is the requested quantile
@@ -595,7 +497,7 @@ def _corrected_steps(structure, point_vals, fam_draws, quantiles):
     s_j), so every intersection step moves outward and an isolated
     member is left nearly untouched.
     """
-    out = {}
+    out = {q: {} for q in quantiles}
     for name, fam in structure.families.items():
         if fam.form in ("p_lo", "p_hi"):
             continue
@@ -612,9 +514,9 @@ def _corrected_steps(structure, point_vals, fam_draws, quantiles):
         for q in quantiles:
             k = max(0.0, float(np.quantile(maxdev, q)))
             if fam.role == "sup":
-                out[name, q] = float(np.max(v - k * s))
+                out[q][name] = float(np.max(v - k * s))
             else:
-                out[name, q] = float(np.min(v + k * s))
+                out[q][name] = float(np.min(v + k * s))
     return out
 
 
@@ -624,19 +526,8 @@ def _step_quantile(level):
     return 0.5 if level == 0.5 else 0.5 * (1.0 + level)
 
 
-def _intervals_at(steps, q, sign, include_sv):
-    manski = Interval(steps["marg_L", q], steps["marg_U", q])
-    if sign == 0:
-        widest = Interval(0.0, 0.0)
-    else:
-        widest = Interval(steps["w_L1", q] - steps["w_U0", q],
-                          steps["w_U1", q] - steps["w_L0", q])
-    if include_sv:
-        sv = Interval(steps["sv_L1", q] - steps["sv_U0", q],
-                      steps["sv_U1", q] - steps["sv_L0", q])
-    else:
-        sv = widest
-    return manski, widest, sv
+def _intervals(parts):
+    return {k: parts[k] for k in ("manski", "widest", "sv")}
 
 
 def _estimation_grid(data, x_eval, match, include_sv):
@@ -684,46 +575,31 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None,
         raise RuntimeError("joint fit did not converge")
     spec_hat, iv_id = fitted_spec(fit, sub)
     x_aug = np.concatenate([[1.0], x_eval])
-    support = cps_support(spec_hat, x_aug, iv_id)
-    ate_hat = true_ate(spec_hat, x_aug)
-
-    if support.degenerate:
-        bench = manski_bounds(spec_hat, x_aug, iv_id)
-        return EstimatedReport(
-            x=tuple(x_eval), sign=None, irrelevant=True,
-            manski=bench, widest=bench, sv=bench,
-            c1=0.0, c2=0.0, c3=0.0, c4=bench.width, iip=0.0,
-            cps_lo=support.p_lo, cps_hi=support.p_hi, ate_model=ate_hat,
-            point_manski=bench, point_widest=bench, point_sv=bench,
-            point_iip=0.0,
-            levels={q: {"manski": bench, "widest": bench, "sv": bench}
-                    for q in hmue.levels},
-            flip_rate=0.0, fit=fit, spec=spec_hat, iv_name=ivset.name,
-        )
-
     grid = _estimation_grid(data, x_eval, match, include_sv)
-    match_hat = MatchConfig(
-        tolerance_c=match.tolerance_c, covariate_grid=grid,
-        grid_step=match.grid_step, grid_span_sd=match.grid_span_sd,
-        check_h_sign=match.check_h_sign,
-    )
-    structure = build_structure(spec_hat, x_aug, iv_id, match_hat)
+    structure = build_structure(spec_hat, x_aug, iv_id, MatchConfig(match.tolerance_c, grid))
     sign = structure.sign
-
     point_vals = evaluate_structure(
         structure, spec_hat.alpha, spec_hat.beta, spec_hat.pi,
         spec_hat.gamma, spec_hat.rho,
     )
-    manski_pt, widest_pt, sv_pt = intervals_from_values(point_vals, sign)
-    if not include_sv:
-        sv_pt = widest_pt
-    iip_pt = manski_pt.width - widest_pt.width
+    point = assemble(point_vals, sign, include_sv)
+    common = dict(
+        x=tuple(x_eval), sign=sign, irrelevant=sign is None,
+        cps_lo=structure.support.p_lo, cps_hi=structure.support.p_hi,
+        ate_model=true_ate(spec_hat, x_aug),
+        point_manski=point["manski"], point_widest=point["widest"],
+        point_sv=point["sv"], point_iip=point["iip"],
+        fit=fit, spec=spec_hat, iv_name=ivset.name,
+    )
+    if sign is None:
+        return EstimatedReport(**common, **point, flip_rate=0.0,
+                               levels={q: _intervals(point) for q in hmue.levels})
 
     k_aug = data.n_covariates + 1
     rng = rng_stream(hmue.seed)
     draws = rng.multivariate_normal(fit.params, fit.vcov,
                                     size=hmue.n_sim, method="eigh")
-    fam_draws = _draw_family_values(
+    fam_draws = evaluate_draws(
         structure,
         draws[:, 0],
         draws[:, 1:1 + k_aug],
@@ -745,49 +621,15 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None,
 
     quantiles = sorted({_step_quantile(q) for q in hmue.levels} | {0.5})
     steps = _corrected_steps(structure, point_vals, fam_draws, quantiles)
-    manski_c, widest_c, sv_c = _intervals_at(steps, 0.5, sign, include_sv)
-    c1 = ((manski_c.upper if sign <= 0 else 0.0)
-          - (manski_c.lower if sign >= 0 else 0.0))
-    c2 = manski_c.width - widest_c.width - c1
-    c3 = widest_c.width - sv_c.width
-    c4 = sv_c.width
-    levels = {}
-    for q in hmue.levels:
-        man, wid, sv = _intervals_at(steps, _step_quantile(q), sign, include_sv)
-        levels[q] = {"manski": man, "widest": wid, "sv": sv}
-
-    return EstimatedReport(
-        x=tuple(x_eval), sign=sign, irrelevant=False,
-        manski=manski_c, widest=widest_c, sv=sv_c,
-        c1=c1, c2=c2, c3=c3, c4=c4, iip=c1 + c2,
-        cps_lo=support.p_lo, cps_hi=support.p_hi, ate_model=ate_hat,
-        point_manski=manski_pt, point_widest=widest_pt, point_sv=sv_pt,
-        point_iip=iip_pt,
-        levels=levels, flip_rate=flip_rate,
-        fit=fit, spec=spec_hat, iv_name=ivset.name,
-    )
+    levels = {q: _intervals(assemble(steps[_step_quantile(q)], sign, include_sv))
+              for q in hmue.levels}
+    return EstimatedReport(**common, **assemble(steps[0.5], sign, include_sv),
+                           levels=levels, flip_rate=flip_rate)
 
 
 # ---------------------------------------------------------------------------
-# matching and distance helpers
+# distance helper
 # ---------------------------------------------------------------------------
-
-def matched_pairs(cps_table, c):
-    """Index pairs of CPS rows whose propensities differ by less than c.
-
-    Rows are (x, z, p) triples; only p enters the comparison.  Pairs are
-    unordered and the diagonal is included.
-    """
-    if not c > 0:
-        raise ValueError("tolerance must be positive")
-    ps = np.asarray([row[-1] for row in cps_table], dtype=float)
-    pairs = []
-    for i in range(ps.size):
-        for j in range(i, ps.size):
-            if abs(ps[i] - ps[j]) < c:
-                pairs.append((i, j))
-    return pairs
-
 
 def hausdorff_interval(a, b):
     """Hausdorff distance between two closed intervals.
@@ -837,11 +679,7 @@ def _plugin_iip(data, ivset, x_eval, match):
         raise RuntimeError("joint fit did not converge")
     spec_hat, iv_id = fitted_spec(fit, sub)
     x_aug = np.concatenate([[1.0], np.atleast_1d(np.asarray(x_eval, dtype=float))])
-    if cps_support(spec_hat, x_aug, iv_id).degenerate:
-        return 0.0
-    bench = manski_bounds(spec_hat, x_aug, iv_id)
-    widest = widest_bounds(spec_hat, x_aug, iv_id)
-    return bench.width - widest.width
+    return population_report(spec_hat, x_aug, iv_id, match, include_sv=False).iip
 
 
 def bootstrap_dispersion(data, ivset=None, x_eval=(), n_boot=200, seed=0,

@@ -238,9 +238,7 @@ def run_monte_carlo(design, workers=1):
     recorded, excluded from averages, and trip an alarm flag when they
     exceed 2 percent of tasks.
     """
-    pop_match = MatchConfig(tolerance_c=design.match.tolerance_c,
-                            check_h_sign=design.match.check_h_sign)
-    truth = {ivs.name: population_report(design.spec, design.x_eval, ivs, pop_match)
+    truth = {ivs.name: population_report(design.spec, design.x_eval, ivs, design.match)
              for ivs in design.iv_sets}
 
     tasks = [(ni, r, si)

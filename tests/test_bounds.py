@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,57 @@ def test_zero_treatment_effect_sign():
 def test_match_config_defaults():
     match = MatchConfig()
     assert match.tolerance_c == 0.01
-    assert match.grid_step == 0.01
-    assert match.grid_span_sd == 4.0
-    assert match.check_h_sign
+    assert match.covariate_grid is None
+
+
+# ---------------------------------------------------------------------------
+# identities the model implies
+# ---------------------------------------------------------------------------
+
+_FLOAT_FIELDS = ("c1", "c2", "c3", "c4", "iip", "cps_lo", "cps_hi")
+
+
+def _relabel_y(spec):
+    """The model for 1 - y: (alpha, beta, rho) -> (-alpha, -beta, -rho)."""
+    return replace(spec, alpha=-spec.alpha, beta=tuple(-b for b in spec.beta),
+                   rho=-spec.rho)
+
+
+@pytest.mark.parametrize("spec, ivset, sv_slack", [
+    (model2_spec(beta=0.25, gamma=1.0, rho=0.5), None, 1e-12),
+    (model3_spec(rho=0.5, covariate="bernoulli"), standard_iv_sets()[3], 1e-12),
+    # with a normal covariate the grid matches propensities only within
+    # tolerance_c, and the L members use the matched cells unscaled while
+    # the U members rescale them, so the mirror holds only to that slack
+    (model3_spec(rho=-0.5, covariate="normal"), standard_iv_sets()[0],
+     MatchConfig().tolerance_c),
+])
+def test_relabelling_outcome_mirrors_every_interval(spec, ivset, sv_slack):
+    x = np.array([0.5])
+    rep = population_report(spec, x, ivset)
+    mirror = population_report(_relabel_y(spec), x, ivset)
+    assert mirror.sign == -rep.sign
+    for name, tol in (("manski", 1e-12), ("widest", 1e-12), ("sv", sv_slack)):
+        a, b = getattr(rep, name), getattr(mirror, name)
+        assert b.lower == pytest.approx(-a.upper, abs=tol)
+        assert b.upper == pytest.approx(-a.lower, abs=tol)
+    for name in ("c1", "c2", "iip", "cps_lo", "cps_hi"):
+        assert getattr(mirror, name) == pytest.approx(getattr(rep, name), abs=1e-12)
+
+
+@pytest.mark.parametrize("use_extra", [False, True])
+@pytest.mark.parametrize("base", [model2_spec(beta=0.25, gamma=1.0, rho=0.5),
+                                  model3_spec(rho=0.5, covariate="bernoulli")])
+def test_irrelevant_extra_instrument_leaves_report_unchanged(base, use_extra):
+    m = base.n_instruments
+    extra = replace(base, gamma=base.gamma + (0.0,),
+                    iv_dists=base.iv_dists + (Discrete((0.0, 1.0), (0.3, 0.7)),))
+    rep = population_report(base, X0, IvSet("z1", use=(0,)))
+    got = population_report(extra, X0, IvSet("z1+", use=(0, m) if use_extra else (0,)))
+    assert got.sign == rep.sign and got.irrelevant == rep.irrelevant
+    for name in ("manski", "widest", "sv"):
+        a, b = getattr(rep, name), getattr(got, name)
+        assert b.lower == pytest.approx(a.lower, abs=1e-12)
+        assert b.upper == pytest.approx(a.upper, abs=1e-12)
+    for name in _FLOAT_FIELDS:
+        assert getattr(got, name) == pytest.approx(getattr(rep, name), abs=1e-12)

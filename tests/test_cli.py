@@ -121,6 +121,13 @@ def test_fit_round_trips_through_json(sample_report):
     assert back.converged == fit.converged
 
 
+def test_fit_from_dict_rejects_asymmetric_vcov():
+    doc = {"names": ["a", "b"], "params": [0.1, 0.2], "loglik": -1.0,
+           "vcov": [[1.0, 0.5], [0.4, 1.0]], "converged": True, "iterations": 3}
+    with pytest.raises(ValueError, match="symmetric"):
+        fit_from_dict(doc)
+
+
 def test_report_row_columns():
     rep = population_report(SPEC, (0.0,))
     row = report_row(rep)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivpower.dgp import (DgpSpec, Discrete, IvSet, JointDiscrete, Normal,
+from ivpower.dgp import (CellProbs, CpsSupport, DgpSpec, Discrete, IvSet,
+                         JointDiscrete, Normal,
                          cell_probs, cell_probs_arrays, cps, cps_support,
                          identity_iv_set, iv_support, marginal_cell_probs,
                          nu1, nu2, spec_from_dict, spec_to_dict, true_ate)
@@ -187,3 +188,15 @@ def test_cps_subset_conditioning_is_mixture():
                    for v, q in zip(z2.values, z2.probs))
         assert pv == pytest.approx(want, abs=1e-12)
         assert mass == pytest.approx(0.5, abs=1e-12)
+
+
+# the two checks below guard values that can come from outside input, so
+# they must raise ValueError and survive python -O, which strips asserts
+def test_cell_probs_rejects_cells_not_summing_to_one():
+    with pytest.raises(ValueError, match="cells sum"):
+        CellProbs(0.3, 0.2, 0.2, 0.2)
+
+
+def test_cps_support_rejects_masses_not_summing_to_one():
+    with pytest.raises(ValueError, match="masses sum"):
+        CpsSupport(points=((0.3, 0.5), (0.6, 0.4)))

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ivpower.bounds import Interval, MatchConfig, build_structure, evaluate_structure
+from ivpower.bounds import (Interval, MatchConfig, build_structure, evaluate_draws,
+                            evaluate_structure)
 from ivpower.dgp import Discrete, JointDiscrete, Normal
-from ivpower.estimation import (Dataset, HmueConfig, _draw_family_values,
-                                biprobit_loglik, bootstrap_dispersion,
-                                design_matrix, estimated_report,
-                                fit_bivariate_probit, fit_probit, fitted_spec,
-                                hausdorff_interval, matched_pairs,
+from ivpower.estimation import (Dataset, HmueConfig, biprobit_loglik,
+                                bootstrap_dispersion, design_matrix,
+                                estimated_report, fit_bivariate_probit,
+                                fit_probit, fitted_spec, hausdorff_interval,
                                 read_dataset_csv, write_dataset_csv)
 from ivpower.gaussian import norm_ppf, rng_stream
 from ivpower.simulation import generate_sample, model3_spec, standard_iv_sets
@@ -138,14 +138,6 @@ def test_design_matrix_tokens():
         design_matrix(data, ("x2",))
 
 
-def test_matched_pairs():
-    table = [((0.0,), (0.0,), 0.30), ((1.0,), (0.0,), 0.305), ((0.0,), (1.0,), 0.40)]
-    assert matched_pairs(table, 0.01) == [(0, 0), (0, 1), (1, 1), (2, 2)]
-    assert matched_pairs(table, 0.2) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    with pytest.raises(ValueError):
-        matched_pairs(table, 0.0)
-
-
 def test_hausdorff_interval():
     assert hausdorff_interval((0.0, 1.0), (0.0, 1.0)) == 0.0
     assert hausdorff_interval((0.0, 1.0), (-0.5, 1.2)) == pytest.approx(0.5)
@@ -212,19 +204,25 @@ def test_widest_only_mode_skips_covariate_layer():
 
 
 def test_draw_family_values_matches_structure_evaluation():
+    # a batch of 130 draws crosses the 128-draw chunk boundary; each row
+    # must equal that draw evaluated as a batch of one
     spec = model3_spec(rho=0.5, covariate="bernoulli")
     structure = build_structure(spec, np.array([0.0]), standard_iv_sets()[3],
                                 MatchConfig())
-    alpha, rho = 0.9, 0.45
-    beta = np.array([0.8])
-    pi = np.array([-0.9])
-    gamma = np.array([0.4, 0.25, 0.1])
-    point = evaluate_structure(structure, alpha, beta, pi, gamma, rho)
-    draws = _draw_family_values(structure, np.array([alpha]), beta[None, :],
-                                pi[None, :], gamma[None, :], np.array([rho]))
-    assert set(draws) == set(point)
-    for name, vals in point.items():
-        np.testing.assert_allclose(draws[name][0], vals, atol=1e-12)
+    rng = np.random.default_rng(11)
+    R = 130
+    alphas = 0.9 + 0.1 * rng.standard_normal(R)
+    betas = 0.8 + 0.1 * rng.standard_normal((R, 1))
+    pis = -0.9 + 0.1 * rng.standard_normal((R, 1))
+    gammas = np.array([0.4, 0.25, 0.1]) + 0.1 * rng.standard_normal((R, 3))
+    rhos = np.clip(0.45 + 0.1 * rng.standard_normal(R), -0.9, 0.9)
+    draws = evaluate_draws(structure, alphas, betas, pis, gammas, rhos)
+    assert set(draws) == set(structure.families)
+    for r in range(R):
+        point = evaluate_structure(structure, alphas[r], betas[r], pis[r],
+                                   gammas[r], rhos[r])
+        for name, vals in point.items():
+            np.testing.assert_allclose(draws[name][r], vals, rtol=0, atol=1e-15)
 
 
 def test_bootstrap_dispersion_without_resampling_is_deterministic():
