@@ -55,6 +55,8 @@ __all__ = [
     "Interval",
     "MatchConfig",
     "BoundsReport",
+    "REPORT_COLUMNS",
+    "report_columns",
     "SupportPartition",
     "default_covariate_grid",
     "manski_bounds",
@@ -68,6 +70,7 @@ __all__ = [
     "build_structure",
     "evaluate_structure",
     "evaluate_draws",
+    "ate_signs",
     "intervals_from_values",
     "assemble",
 ]
@@ -77,6 +80,8 @@ _GRID_STEP = 0.01
 _GRID_SPAN_SD = 4.0
 # parameter draws evaluated together; bounds the kernel's temporaries
 _DRAW_CHUNK = 128
+# Gauss-Hermite nodes of iip_average over a normal covariate
+_IIP_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -274,10 +279,6 @@ def _solve(spec, x, ivset, match, include_sv=True):
         structure = BoundsStructure(x, x[None], partition, None, support, fams)
         return structure, {k: v[0] for k, v in _values(structure, one, None, None).items()}
 
-    lo, hi = int(np.argmin(pown)), int(np.argmax(pown))
-    diff = (p11o[hi] + p10o[hi]) - (p11o[lo] + p10o[lo])
-    sign = 0 if abs(diff) <= 1e-12 else (1 if diff > 0 else -1)
-
     grid = default_covariate_grid(spec, match) if include_sv else x[None]
     if grid.shape[1] != x.size:
         raise ValueError("covariate grid dimension mismatch")
@@ -322,7 +323,7 @@ def _solve(spec, x, ivset, match, include_sv=True):
         {k: v & own_only for k, v in sets.items()},
     ))
 
-    structure = BoundsStructure(x, grid, partition, sign, support, fams)
+    structure = BoundsStructure(x, grid, partition, None, support, fams)
     arrays = {
         "pown": pown, "p11o": p11o, "p10o": p10o,
         "pstar": pstar, "p11G": p11G, "p10G": p10G,
@@ -335,7 +336,22 @@ def _solve(spec, x, ivset, match, include_sv=True):
                            f"the latent comparison at grid rows {mism[:3]}")
     cells = (p11G[None], p10G[None], p_grid[None])
     values = _values(structure, one, cells, np.arange(G))
+    structure.sign = int(ate_signs(structure, values)[0])
     return structure, {k: v[0] for k, v in values.items()}
+
+
+def ate_signs(structure, values):
+    """ATE sign at each of R parameter points, the families fixed:
+    the sign of Pr[Y=1 | x, p] at the largest propensity minus that at
+    the smallest, 0 within 1e-12.  ``values`` holds (R, members) family
+    values; the bare sv_L1 and sv_L0 members are the own cells p11, p10."""
+    p11 = values["sv_L1"][:, structure.families["sv_L1"].g < 0]
+    p10 = values["sv_L0"][:, structure.families["sv_L0"].g < 0]
+    pown = values["p_lo"]
+    rows = np.arange(pown.shape[0])
+    pry1 = p11 + p10
+    diff = pry1[rows, pown.argmax(axis=1)] - pry1[rows, pown.argmin(axis=1)]
+    return np.where(np.abs(diff) <= 1e-12, 0, np.sign(diff)).astype(int)
 
 
 def _h_sign_check(structure, arrays):
@@ -387,6 +403,11 @@ def _h_sign_check(structure, arrays):
 # assembly and reports
 # ---------------------------------------------------------------------------
 
+# the tabulated quantities of a report, in output column order
+REPORT_COLUMNS = ("L_M", "U_M", "L_bar", "U_bar", "L_SV", "U_SV",
+                  "sign", "C1", "C2", "C3", "C4", "IIP")
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     x: tuple
@@ -403,6 +424,14 @@ class BoundsReport:
     cps_lo: float
     cps_hi: float
     ate_model: float
+
+
+def report_columns(rep):
+    """REPORT_COLUMNS name -> value for a population or estimated report;
+    ``sign`` stays None for irrelevant instruments."""
+    return dict(zip(REPORT_COLUMNS, (
+        rep.manski.lower, rep.manski.upper, rep.widest.lower, rep.widest.upper,
+        rep.sv.lower, rep.sv.upper, rep.sign, rep.c1, rep.c2, rep.c3, rep.c4, rep.iip)))
 
 
 def assemble(steps, sign, include_sv=True):
@@ -529,7 +558,7 @@ def iip(spec, x, ivset=None, match=None):
     return rep.iip
 
 
-def iip_average(spec, ivset=None, x_weights=None, match=None, n_nodes=64):
+def iip_average(spec, ivset=None, x_weights=None, match=None):
     """Weighted average of iip over x points.
 
     ``x_weights`` is a sequence of (x, weight) pairs whose weights sum to
@@ -542,7 +571,7 @@ def iip_average(spec, ivset=None, x_weights=None, match=None, n_nodes=64):
         if isinstance(dist, Discrete):
             x_weights = list(zip(dist.values, dist.probs))
         elif isinstance(dist, Normal):
-            nodes, wts = normal_quadrature(dist.mean, dist.sd, n_nodes)
+            nodes, wts = normal_quadrature(dist.mean, dist.sd, _IIP_NODES)
             x_weights = list(zip(nodes, wts))
         else:
             raise ValueError(f"cannot average over {dist!r}")

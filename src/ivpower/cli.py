@@ -24,12 +24,13 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import chi2
 
-from .bounds import BoundsReport, Interval, MatchConfig, population_report
+from .bounds import (REPORT_COLUMNS, BoundsReport, Interval, MatchConfig,
+                     population_report, report_columns)
 from .dgp import IvSet, spec_from_dict, spec_to_dict
 from .estimation import (
-    Dataset, EstimatedReport, FitResult, HmueConfig, bootstrap_dispersion,
-    estimated_report, fit_bivariate_probit, fit_probit, fitted_spec,
-    read_dataset_csv,
+    GRID_LEVELS, Dataset, EstimatedReport, FitResult, HmueConfig,
+    bootstrap_dispersion, estimated_report, fit_probit, fit_set,
+    read_dataset_csv, with_intercept,
 )
 from .gaussian import norm_ppf
 from .simulation import (
@@ -37,8 +38,8 @@ from .simulation import (
     surface_grid, table_rows,
 )
 
-REPORT_COLUMNS = ("x", "L_M", "U_M", "L_bar", "U_bar", "L_SV", "U_SV",
-                  "sign", "C1", "C2", "C3", "C4", "IIP")
+# a report's CSV row: the evaluation point, then the report columns
+ROW_COLUMNS = ("x",) + REPORT_COLUMNS
 
 
 class ConfigError(Exception):
@@ -149,17 +150,14 @@ def report_from_dict(d):
     )
 
 
+def _sign_cell(sign):
+    return "" if sign is None else int(sign)
+
+
 def report_row(rep):
-    """One wide CSV row (REPORT_COLUMNS order) from a report."""
-    return {
-        "x": ";".join(repr(float(v)) for v in rep.x),
-        "L_M": rep.manski.lower, "U_M": rep.manski.upper,
-        "L_bar": rep.widest.lower, "U_bar": rep.widest.upper,
-        "L_SV": rep.sv.lower, "U_SV": rep.sv.upper,
-        "sign": "" if rep.sign is None else int(rep.sign),
-        "C1": rep.c1, "C2": rep.c2, "C3": rep.c3, "C4": rep.c4,
-        "IIP": rep.iip,
-    }
+    """One wide CSV row (ROW_COLUMNS order) from a report."""
+    return {**report_columns(rep), "x": ";".join(repr(float(v)) for v in rep.x),
+            "sign": _sign_cell(rep.sign)}
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +339,7 @@ def cmd_dgp_bounds(args):
     out = _out_dir(args)
 
     reports = [population_report(spec, x, ivset, match) for x in points]
-    write_csv(os.path.join(out, "bounds.csv"), REPORT_COLUMNS,
+    write_csv(os.path.join(out, "bounds.csv"), ROW_COLUMNS,
               [report_row(rep) for rep in reports])
     write_json(os.path.join(out, "bounds.json"),
                [report_to_dict(rep) for rep in reports])
@@ -426,7 +424,7 @@ def cmd_estimate(args):
             reports.append(rep)
             _echo_report(rep, f"{ivset.name} x={','.join(repr(float(v)) for v in x)}")
     write_csv(os.path.join(out, "estimate.csv"),
-              ("iv_set",) + REPORT_COLUMNS,
+              ("iv_set",) + ROW_COLUMNS,
               [{"iv_set": rep.iv_name, **report_row(rep)} for rep in reports])
     write_json(os.path.join(out, "estimate.json"),
                [report_to_dict(rep) for rep in reports])
@@ -456,6 +454,7 @@ def cmd_rank_ivs(args):
     z975 = norm_ppf(0.975)
 
     stats = {}
+    widths = {}
     for si, ivset in enumerate(iv_sets):
         rep = estimated_report(data, ivset, x, match,
                                _hmue_config(args, seed), include_sv=False)
@@ -483,8 +482,9 @@ def cmd_rank_ivs(args):
             "boot_failures": boot.n_failed,
             "possibly_irrelevant": bool(ci_lo <= 0.0),
         }
+        widths[ivset.name] = rep.widest.width
 
-    order = rank_entries([(name, s["IIP"], s["IIP"]) for name, s in stats.items()])
+    order = rank_entries([(name, s["IIP"], widths[name]) for name, s in stats.items()])
     rows = []
     for rank, (name, _, _) in enumerate(order, start=1):
         rows.append({"rank": rank, **stats[name]})
@@ -525,7 +525,7 @@ def kernel_weights(values, grid, bandwidth):
     return dens / total
 
 
-_CURVE_COLUMNS = ("iv_set", "q", "x_p", "weight") + REPORT_COLUMNS[1:]
+_CURVE_COLUMNS = ("iv_set", "q", "x_p", "weight") + REPORT_COLUMNS
 
 
 def propensity_index(data):
@@ -534,12 +534,12 @@ def propensity_index(data):
     if data.n_covariates < 1:
         raise ConfigError("the empirical pipeline needs covariate columns")
     names = ("const",) + tuple(f"x{j}" for j in range(1, data.n_covariates + 1))
-    fit = fit_probit(data, "d", names)
-    design = np.hstack([np.ones((data.n, 1)), data.x])
+    design = with_intercept(data.x)
+    fit = fit_probit(data.d, design, names)
     return fit, ndtr(design @ fit.params)
 
 
-def empirical_curves(data, iv_sets, match, bandwidth=None, n_grid=99):
+def empirical_curves(data, iv_sets, match, bandwidth=None):
     """Bounds, decomposition, and identification power along the
     propensity-index grid, with kernel-density weights.
 
@@ -550,51 +550,41 @@ def empirical_curves(data, iv_sets, match, bandwidth=None, n_grid=99):
     identical across instrument sets.
     """
     stage1, xp = propensity_index(data)
-    qs = np.linspace(0.01, 0.99, n_grid)
-    grid = np.unique(np.quantile(xp, qs))
+    grid = np.unique(np.quantile(xp, GRID_LEVELS))
     if grid.size < 2:
         raise DataError("propensity index is degenerate")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(xp)
     weights = kernel_weights(xp, grid, bandwidth)
+    grid_aug = with_intercept(grid[:, None])
 
     agree = (data.y == data.d).astype(float)
-    base = Dataset(y=agree, d=agree, x=xp[:, None], z=np.empty((data.n, 0)))
-    afit = fit_probit(base, "y", ("const", "x1"))
+    afit = fit_probit(agree, with_intercept(xp[:, None]), ("const", "x1"))
     pr_agree = ndtr(afit.params[0] + afit.params[1] * grid)
 
-    match_hat = MatchConfig(match.tolerance_c, np.column_stack([np.ones(grid.size), grid]))
+    index_data = Dataset(y=data.y, d=data.d, x=xp[:, None], z=data.z)
+    match_hat = MatchConfig(match.tolerance_c, grid_aug)
     curves = []
     fits = {}
     for ivset in iv_sets:
-        sub = Dataset(y=data.y, d=data.d, x=xp[:, None], z=ivset.columns(data.z))
-        fit = fit_bivariate_probit(sub)
-        if not fit.converged:
-            raise RuntimeError(f"joint fit did not converge for {ivset.name}")
+        fit, spec_hat, iv_id = fit_set(index_data, ivset)
         fits[ivset.name] = fit
-        spec_hat, iv_id = fitted_spec(fit, sub)
         for j, g in enumerate(grid):
-            row = {"iv_set": ivset.name, "q": qs[j] if grid.size == n_grid else math.nan,
-                   "x_p": g, "weight": weights[j],
-                   "L_M": pr_agree[j] - 1.0, "U_M": pr_agree[j]}
-            rep = population_report(spec_hat, (1.0, g), iv_id, match_hat)
+            rep = population_report(spec_hat, grid_aug[j], iv_id, match_hat)
+            row = report_columns(rep)
+            lo, up = pr_agree[j] - 1.0, pr_agree[j]
             if rep.irrelevant:
-                row.update(sign="", C1=0.0, C2=0.0, C3=0.0, C4=1.0, IIP=0.0,
-                           L_bar=pr_agree[j] - 1.0, U_bar=pr_agree[j],
-                           L_SV=pr_agree[j] - 1.0, U_SV=pr_agree[j])
-            else:
-                row.update(sign=int(rep.sign),
-                           L_bar=rep.widest.lower, U_bar=rep.widest.upper,
-                           L_SV=rep.sv.lower, U_SV=rep.sv.upper,
-                           C1=rep.c1, C2=rep.c2, C3=rep.c3, C4=rep.c4, IIP=rep.iip)
+                row.update(L_bar=lo, U_bar=up, L_SV=lo, U_SV=up, C4=1.0)
+            row.update(iv_set=ivset.name, x_p=g, weight=weights[j],
+                       q=GRID_LEVELS[j] if grid.size == GRID_LEVELS.size else math.nan,
+                       L_M=lo, U_M=up, sign=_sign_cell(rep.sign))
             curves.append(row)
     return stage1, fits, float(bandwidth), grid, weights, curves
 
 
 def weighted_summary(curves, iv_names):
     """Kernel-weighted averages of every numeric curve column per set."""
-    numeric = [c for c in _CURVE_COLUMNS if c not in ("iv_set", "q", "x_p",
-                                                      "weight", "sign")]
+    numeric = [c for c in REPORT_COLUMNS if c != "sign"]
     rows = []
     for name in iv_names:
         sub = [row for row in curves if row["iv_set"] == name]

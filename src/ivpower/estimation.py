@@ -1,12 +1,16 @@
 """Maximum-likelihood estimation and corrected bound estimates.
 
-Probit and bivariate-probit MLE with analytic gradients, a mapping from
-fitted parameters to a plug-in `DgpSpec`, and simulation-based
-half-median-unbiased corrections of every sup/inf bounding step: the
-fitted parameters are redrawn from their asymptotic normal, each bound
-endpoint is re-assembled per draw with the family memberships and the
-ATE sign frozen at the point estimate, and the reported endpoint is the
-median (plus outward quantiles at the requested confidence levels).
+Every finite-sample result takes one path.  `fit_set` fits the joint
+threshold-crossing model by maximum likelihood on an instrument set's
+columns and maps the fit to a plug-in `DgpSpec` whose covariate row is
+(1, x) (`with_intercept`), so the intercepts ride along as a constant
+covariate; `unpack_params` is the one reading of the parameter layout, for
+the estimate and for parameter draws alike.  The two-layer bounds use the
+1%-99% quantile grid (`GRID_LEVELS`) of the covariate.  The bound engine in
+`bounds` evaluates the plug-in families at the estimate and at draws from
+its asymptotic normal, and `_corrected_steps` shifts every sup/inf step
+outward to its half-median-unbiased value, with the family memberships and
+the ATE sign frozen at the estimate.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .bounds import (
     Interval,
     MatchConfig,
     assemble,
+    ate_signs,
     build_structure,
     evaluate_draws,
     evaluate_structure,
@@ -39,19 +44,28 @@ __all__ = [
     "BootstrapResult",
     "read_dataset_csv",
     "write_dataset_csv",
-    "design_matrix",
+    "GRID_LEVELS",
+    "with_intercept",
     "fit_probit",
     "fit_bivariate_probit",
     "biprobit_loglik",
+    "unpack_params",
     "fitted_spec",
+    "fit_set",
     "estimated_report",
     "hausdorff_interval",
     "bootstrap_dispersion",
 ]
 
 _SEPARATION_LIMIT = 1e3
+_PROBIT_TOL = 1e-8
+_JOINT_MAX_ITER = 500
+_HESSIAN_REL_STEP = 1e-5
 _RHO_MAX = 1.0 - 1e-12
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# quantile levels of the covariate grids: the estimation grid and the
+# empirical pipeline's propensity-index grid
+GRID_LEVELS = np.linspace(0.01, 0.99, 99)
 
 
 @dataclass(frozen=True)
@@ -216,27 +230,14 @@ class HmueConfig:
 # probit
 # ---------------------------------------------------------------------------
 
-def design_matrix(data, regressors):
-    """Design columns by name: "const", "d", "x<j>" or "z<j>" (1-based)."""
-    cols = []
-    for name in regressors:
-        if name == "const":
-            cols.append(np.ones(data.n))
-        elif name == "d":
-            cols.append(data.d)
-        elif name.startswith("x") and name[1:].isdigit():
-            j = int(name[1:])
-            if not 1 <= j <= data.n_covariates:
-                raise ValueError(f"no covariate column '{name}'")
-            cols.append(data.x[:, j - 1])
-        elif name.startswith("z") and name[1:].isdigit():
-            j = int(name[1:])
-            if not 1 <= j <= data.n_instruments:
-                raise ValueError(f"no instrument column '{name}'")
-            cols.append(data.z[:, j - 1])
-        else:
-            raise ValueError(f"unknown column '{name}'")
-    return np.column_stack(cols)
+def with_intercept(points):
+    """Plug-in covariate rows (1, x) for one point (k,) or rows (N, k).
+
+    The fitted intercepts ride along as a constant leading covariate, in
+    the plug-in spec and in every design.
+    """
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([np.ones(points.shape[:-1] + (1,)), points], axis=-1)
 
 
 def _ensure_psd(mat):
@@ -247,22 +248,29 @@ def _ensure_psd(mat):
     return 0.5 * (fixed + fixed.T)
 
 
-def _probit_mle(y, design, names, tol=1e-8, max_iter=100):
-    """Newton iteration with step halving; raises on separation."""
+def fit_probit(y, design, names, max_iter=100):
+    """Probit MLE of binary ``y`` on the columns of ``design``.
+
+    Newton iteration with step halving; raises on separation and on a
+    singular design.
+    """
     y = np.asarray(y, dtype=float)
     design = np.asarray(design, dtype=float)
     q = 2.0 * y - 1.0
-    coef = np.zeros(design.shape[1])
-    ll = float(np.sum(log_ndtr(q * (design @ coef))))
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+
+    def newton_terms(coef):
         w = design @ coef
         lam = q * np.exp(-0.5 * w * w - _LOG_SQRT_2PI - log_ndtr(q * w))
-        grad = design.T @ lam
-        if np.max(np.abs(grad)) < tol:
-            break
         curv = lam * (lam + w)  # negative Hessian weights, always positive
-        neg_hess = design.T @ (design * curv[:, None])
+        return design.T @ lam, design.T @ (design * curv[:, None])
+
+    coef = np.zeros(design.shape[1])
+    ll = float(np.sum(log_ndtr(q * (design @ coef))))
+    grad, neg_hess = newton_terms(coef)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if np.max(np.abs(grad)) < _PROBIT_TOL:
+            break
         try:
             step = np.linalg.solve(neg_hess, grad)
         except np.linalg.LinAlgError:
@@ -277,11 +285,7 @@ def _probit_mle(y, design, names, tol=1e-8, max_iter=100):
         coef, ll = cand, ll_new
         if np.max(np.abs(coef)) > _SEPARATION_LIMIT:
             raise RuntimeError("separation: probit coefficients diverged")
-    w = design @ coef
-    lam = q * np.exp(-0.5 * w * w - _LOG_SQRT_2PI - log_ndtr(q * w))
-    grad = design.T @ lam
-    curv = lam * (lam + w)
-    neg_hess = design.T @ (design * curv[:, None])
+        grad, neg_hess = newton_terms(coef)
     try:
         vcov = np.linalg.inv(neg_hess)
     except np.linalg.LinAlgError:
@@ -289,21 +293,9 @@ def _probit_mle(y, design, names, tol=1e-8, max_iter=100):
     vcov = _ensure_psd(0.5 * (vcov + vcov.T))
     return FitResult(
         params=coef, names=tuple(names), loglik=ll,
-        vcov=vcov, converged=bool(np.max(np.abs(grad)) < tol),
+        vcov=vcov, converged=bool(np.max(np.abs(grad)) < _PROBIT_TOL),
         iterations=iterations,
     )
-
-
-def fit_probit(data, response, regressors, tol=1e-8, max_iter=100):
-    """Probit MLE of ``response`` ("y" or "d") on named regressors."""
-    if response == "y":
-        yvec = data.y
-    elif response == "d":
-        yvec = data.d
-    else:
-        raise ValueError("response must be 'y' or 'd'")
-    design = design_matrix(data, regressors)
-    return _probit_mle(yvec, design, tuple(regressors), tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +309,11 @@ def _binorm_pdf(a, b, r):
 
 
 def _joint_designs(data):
-    one = np.ones((data.n, 1))
-    r1 = np.hstack([data.d[:, None], one, data.x])
-    r2 = np.hstack([one, data.x, data.z])
-    return r1, r2
+    """Likelihood inputs (r1, r2, s1, s2): the outcome design [d, 1, x], the
+    treatment design [1, x, z] and the two responses as signs 2y - 1, 2d - 1."""
+    cov = with_intercept(data.x)
+    return (np.hstack([data.d[:, None], cov]), np.hstack([cov, data.z]),
+            2.0 * data.y - 1.0, 2.0 * data.d - 1.0)
 
 
 def _biprobit_ll(theta, r1, r2, s1, s2):
@@ -348,17 +341,14 @@ def biprobit_loglik(theta, data):
 
     Parameter layout: (alpha, beta0..k, pi0..k, gamma1..m, rho_z).
     """
-    r1, r2 = _joint_designs(data)
-    return _biprobit_ll(np.asarray(theta, dtype=float), r1, r2,
-                        2.0 * data.y - 1.0, 2.0 * data.d - 1.0)
+    return _biprobit_ll(np.asarray(theta, dtype=float), *_joint_designs(data))
 
 
-def _hessian_from_gradient(grad_fn, theta, rel_step=1e-5):
-    theta = np.asarray(theta, dtype=float)
+def _hessian_from_gradient(grad_fn, theta):
     p = theta.size
     hess = np.empty((p, p))
     for j in range(p):
-        h = rel_step * max(1.0, abs(theta[j]))
+        h = _HESSIAN_REL_STEP * max(1.0, abs(theta[j]))
         up = theta.copy()
         dn = theta.copy()
         up[j] += h
@@ -367,7 +357,7 @@ def _hessian_from_gradient(grad_fn, theta, rel_step=1e-5):
     return 0.5 * (hess + hess.T)
 
 
-def fit_bivariate_probit(data, max_iter=500, start=None):
+def fit_bivariate_probit(data):
     """Joint MLE of the outcome and treatment threshold equations.
 
     The dependence parameter is optimized as rho_z with rho = tanh(rho_z)
@@ -379,25 +369,22 @@ def fit_bivariate_probit(data, max_iter=500, start=None):
     if data.n_instruments < 1:
         raise ValueError("at least one instrument column is required")
     k = data.n_covariates
-    m = data.n_instruments
-    x_names = tuple(f"x{j}" for j in range(1, k + 1))
-    z_names = tuple(f"z{j}" for j in range(1, m + 1))
-    if start is None:
-        f1 = fit_probit(data, "y", ("d", "const") + x_names)
-        f2 = fit_probit(data, "d", ("const",) + x_names + z_names)
-        start = np.concatenate([f1.params, f2.params, [0.0]])
-
-    r1, r2 = _joint_designs(data)
-    s1 = 2.0 * data.y - 1.0
-    s2 = 2.0 * data.d - 1.0
+    names = (("alpha",)
+             + tuple(f"beta{j}" for j in range(k + 1))
+             + tuple(f"pi{j}" for j in range(k + 1))
+             + tuple(f"gamma{j}" for j in range(1, data.n_instruments + 1))
+             + ("rho_z",))
+    r1, r2, s1, s2 = _joint_designs(data)
+    f1 = fit_probit(data.y, r1, names[:k + 2])
+    f2 = fit_probit(data.d, r2, names[k + 2:-1])
+    start = np.concatenate([f1.params, f2.params, [0.0]])
 
     def negated(theta):
         ll, grad = _biprobit_ll(theta, r1, r2, s1, s2)
         return -ll, -grad
 
-    res = minimize(negated, np.asarray(start, dtype=float), jac=True,
-                   method="L-BFGS-B",
-                   options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-8})
+    res = minimize(negated, start, jac=True, method="L-BFGS-B",
+                   options={"maxiter": _JOINT_MAX_ITER, "ftol": 1e-12, "gtol": 1e-8})
     theta = res.x
     if np.max(np.abs(theta[:-1])) > _SEPARATION_LIMIT:
         raise RuntimeError("separation: joint fit coefficients diverged")
@@ -408,14 +395,23 @@ def fit_bivariate_probit(data, max_iter=500, start=None):
         raise RuntimeError("observed information is singular") from None
     vcov = _ensure_psd(0.5 * (vcov + vcov.T))
     ll = -float(res.fun)
-    names = (("alpha",)
-             + tuple(f"beta{j}" for j in range(k + 1))
-             + tuple(f"pi{j}" for j in range(k + 1))
-             + tuple(f"gamma{j}" for j in range(1, m + 1))
-             + ("rho_z",))
     return FitResult(params=theta, names=names, loglik=ll, vcov=vcov,
                      converged=bool(res.success) and math.isfinite(ll),
                      iterations=int(res.nit))
+
+
+def unpack_params(theta, n_covariates):
+    """(alpha, beta, pi, gamma, rho) from the joint parameter layout.
+
+    Works along the last axis, so one parameter vector (P,) gives scalars
+    and vectors and R draws (R, P) give (R,) and (R, .) arrays.  beta and
+    pi include the intercept; rho = tanh(rho_z), clipped inside (-1, 1).
+    """
+    theta = np.asarray(theta, dtype=float)
+    k1 = n_covariates + 1
+    return (theta[..., 0], theta[..., 1:1 + k1], theta[..., 1 + k1:1 + 2 * k1],
+            theta[..., 1 + 2 * k1:-1],
+            np.clip(np.tanh(theta[..., -1]), -_RHO_MAX, _RHO_MAX))
 
 
 def fitted_spec(fit, data):
@@ -427,22 +423,28 @@ def fitted_spec(fit, data):
     an identity instrument set.  The covariate-distribution slot is a
     placeholder; estimated evaluation always supplies an explicit grid.
     """
-    k = data.n_covariates
-    m = data.n_instruments
-    th = fit.params
+    alpha, beta, pi, gamma, rho = unpack_params(fit.params, data.n_covariates)
     zvals, counts = np.unique(data.z, axis=0, return_counts=True)
     iv = JointDiscrete(values=tuple(tuple(v) for v in zvals),
                        probs=tuple(counts / data.n))
-    spec = DgpSpec(
-        alpha=float(th[0]),
-        beta=tuple(th[1:2 + k]),
-        pi=tuple(th[2 + k:3 + 2 * k]),
-        gamma=tuple(th[3 + 2 * k:3 + 2 * k + m]),
-        rho=float(np.clip(np.tanh(th[-1]), -_RHO_MAX, _RHO_MAX)),
-        covariate_dist=Normal(),
-        iv_dists=iv,
-    )
-    return spec, identity_iv_set(m)
+    spec = DgpSpec(alpha=float(alpha), beta=tuple(beta), pi=tuple(pi),
+                   gamma=tuple(gamma), rho=float(rho),
+                   covariate_dist=Normal(), iv_dists=iv)
+    return spec, identity_iv_set(data.n_instruments)
+
+
+def fit_set(data, ivset):
+    """The one fit-and-plug-in: the joint fit on ``ivset``'s instrument
+    columns and its plug-in spec.
+
+    Returns (fit, spec, identity instrument set); raises RuntimeError,
+    naming the set, when the fit did not converge.
+    """
+    sub = Dataset(y=data.y, d=data.d, x=data.x, z=ivset.columns(data.z))
+    fit = fit_bivariate_probit(sub)
+    if not fit.converged:
+        raise RuntimeError(f"joint fit did not converge for {ivset.name}")
+    return (fit, *fitted_spec(fit, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +538,11 @@ def _estimation_grid(data, x_eval, match, include_sv):
     elif not include_sv or data.n_covariates == 0:
         raw = x_eval[None, :]
     elif data.n_covariates == 1:
-        raw = np.unique(np.quantile(data.x[:, 0], np.linspace(0.01, 0.99, 99)))[:, None]
+        raw = np.unique(np.quantile(data.x[:, 0], GRID_LEVELS))[:, None]
     else:
         raise ValueError("an explicit covariate grid is required "
                          "with more than one covariate")
-    return np.hstack([np.ones((raw.shape[0], 1)), raw])
+    return with_intercept(raw)
 
 
 def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None,
@@ -569,19 +571,12 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None,
     if x_eval.size != data.n_covariates:
         raise ValueError("x_eval dimension does not match the data")
 
-    sub = Dataset(y=data.y, d=data.d, x=data.x, z=ivset.columns(data.z))
-    fit = fit_bivariate_probit(sub)
-    if not fit.converged:
-        raise RuntimeError("joint fit did not converge")
-    spec_hat, iv_id = fitted_spec(fit, sub)
-    x_aug = np.concatenate([[1.0], x_eval])
+    fit, spec_hat, iv_id = fit_set(data, ivset)
+    x_aug = with_intercept(x_eval)
     grid = _estimation_grid(data, x_eval, match, include_sv)
     structure = build_structure(spec_hat, x_aug, iv_id, MatchConfig(match.tolerance_c, grid))
     sign = structure.sign
-    point_vals = evaluate_structure(
-        structure, spec_hat.alpha, spec_hat.beta, spec_hat.pi,
-        spec_hat.gamma, spec_hat.rho,
-    )
+    point_vals = evaluate_structure(structure, *unpack_params(fit.params, data.n_covariates))
     point = assemble(point_vals, sign, include_sv)
     common = dict(
         x=tuple(x_eval), sign=sign, irrelevant=sign is None,
@@ -595,29 +590,11 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None,
         return EstimatedReport(**common, **point, flip_rate=0.0,
                                levels={q: _intervals(point) for q in hmue.levels})
 
-    k_aug = data.n_covariates + 1
     rng = rng_stream(hmue.seed)
     draws = rng.multivariate_normal(fit.params, fit.vcov,
                                     size=hmue.n_sim, method="eigh")
-    fam_draws = evaluate_draws(
-        structure,
-        draws[:, 0],
-        draws[:, 1:1 + k_aug],
-        draws[:, 1 + k_aug:1 + 2 * k_aug],
-        draws[:, 1 + 2 * k_aug:-1],
-        np.clip(np.tanh(draws[:, -1]), -_RHO_MAX, _RHO_MAX),
-    )
-
-    # sign stability diagnostic: outcome probability at the extreme
-    # propensities, re-derived per draw with the families fixed
-    bare_l1 = structure.families["sv_L1"].g < 0
-    bare_l0 = structure.families["sv_L0"].g < 0
-    pry1 = fam_draws["sv_L1"][:, bare_l1] + fam_draws["sv_L0"][:, bare_l0]
-    pown_d = fam_draws["p_lo"]
-    rows = np.arange(hmue.n_sim)
-    diff = (pry1[rows, pown_d.argmax(axis=1)] - pry1[rows, pown_d.argmin(axis=1)])
-    sign_draws = np.where(np.abs(diff) <= 1e-12, 0, np.sign(diff)).astype(int)
-    flip_rate = float(np.mean(sign_draws != sign))
+    fam_draws = evaluate_draws(structure, *unpack_params(draws, data.n_covariates))
+    flip_rate = float(np.mean(ate_signs(structure, fam_draws) != sign))
 
     quantiles = sorted({_step_quantile(q) for q in hmue.levels} | {0.5})
     steps = _corrected_steps(structure, point_vals, fam_draws, quantiles)
@@ -657,58 +634,34 @@ class BootstrapResult:
     n_failed: int
 
     @property
-    def mean(self):
-        return float(np.mean(self.estimates)) if self.estimates.size else math.nan
-
-    @property
     def sd(self):
         if self.estimates.size < 2:
             return math.nan
         return float(np.std(self.estimates, ddof=1))
 
-    def quantile(self, q):
-        if not self.estimates.size:
-            return math.nan
-        return float(np.quantile(self.estimates, q))
-
-
-def _plugin_iip(data, ivset, x_eval, match):
-    sub = Dataset(y=data.y, d=data.d, x=data.x, z=ivset.columns(data.z))
-    fit = fit_bivariate_probit(sub)
-    if not fit.converged:
-        raise RuntimeError("joint fit did not converge")
-    spec_hat, iv_id = fitted_spec(fit, sub)
-    x_aug = np.concatenate([[1.0], np.atleast_1d(np.asarray(x_eval, dtype=float))])
-    return population_report(spec_hat, x_aug, iv_id, match, include_sv=False).iip
-
 
 def bootstrap_dispersion(data, ivset=None, x_eval=(), n_boot=200, seed=0,
-                         match=None, resample=True):
+                         match=None):
     """Bootstrap spread of the plug-in identification-power estimate.
 
     Each replicate refits on rows resampled with replacement and records
     the plug-in IIP at ``x_eval``; replicates whose fit fails are dropped
-    and counted.  ``resample=False`` refits on the full sample, which is
-    only useful as a determinism check and lifts the replication-count
-    floor.
+    and counted.
     """
-    if resample and n_boot < 50:
+    if n_boot < 50:
         raise ValueError("at least 50 bootstrap replicates are required")
-    if n_boot < 1:
-        raise ValueError("n_boot must be positive")
     ivset = ivset or identity_iv_set(data.n_instruments)
     match = match or MatchConfig()
+    x_aug = with_intercept(np.atleast_1d(np.asarray(x_eval, dtype=float)))
     estimates = []
     n_failed = 0
     for b in range(n_boot):
-        if resample:
-            idx = rng_stream(seed, b).integers(0, data.n, size=data.n)
-            rep = Dataset(y=data.y[idx], d=data.d[idx],
-                          x=data.x[idx], z=data.z[idx])
-        else:
-            rep = data
+        idx = rng_stream(seed, b).integers(0, data.n, size=data.n)
+        rep = Dataset(y=data.y[idx], d=data.d[idx], x=data.x[idx], z=data.z[idx])
         try:
-            estimates.append(_plugin_iip(rep, ivset, x_eval, match))
+            _, spec_hat, iv_id = fit_set(rep, ivset)
+            estimates.append(
+                population_report(spec_hat, x_aug, iv_id, match, include_sv=False).iip)
         except (RuntimeError, ValueError):
             n_failed += 1
     return BootstrapResult(estimates=np.asarray(estimates, dtype=float),

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .bounds import Interval, MatchConfig, population_report
+from .bounds import (REPORT_COLUMNS, Interval, MatchConfig, population_report,
+                     report_columns)
 from .dgp import DgpSpec, Discrete, IvSet, JointDiscrete, Normal
 from .estimation import Dataset, HmueConfig, estimated_report, hausdorff_interval
 
@@ -223,8 +224,7 @@ def mc_replicate(design, n_index, replicate, iv_index):
     n = design.sample_sizes[n_index]
     data = generate_sample(design.spec, n,
                            _sample_stream(design.seed, n_index, replicate))
-    hm = HmueConfig(n_sim=design.hmue.n_sim, levels=design.hmue.levels,
-                    seed=_hmue_seed(design.seed, n_index, replicate, iv_index))
+    hm = replace(design.hmue, seed=_hmue_seed(design.seed, n_index, replicate, iv_index))
     return estimated_report(data, design.iv_sets[iv_index], design.x_eval,
                             design.match, hm, include_sv=design.record_sv)
 
@@ -338,10 +338,6 @@ def table_rows(result):
 # population surfaces and rankings
 # ---------------------------------------------------------------------------
 
-_SURFACE_QUANTITIES = ("L_M", "U_M", "L_bar", "U_bar", "L_SV", "U_SV",
-                       "sign", "C1", "C2", "C3", "C4", "IIP")
-
-
 def surface_grid(spec_template, gamma_grid, rho_grid, beta_values, x_eval,
                  ivset=None, match=None):
     """Population bound surfaces on a (gamma, rho, beta) grid.
@@ -362,15 +358,9 @@ def surface_grid(spec_template, gamma_grid, rho_grid, beta_values, x_eval,
                 spec = replace(spec_template, beta=(float(beta),),
                                gamma=(float(gamma),), rho=float(rho))
                 rep = population_report(spec, x_eval, ivset, match)
-                values = {
-                    "L_M": rep.manski.lower, "U_M": rep.manski.upper,
-                    "L_bar": rep.widest.lower, "U_bar": rep.widest.upper,
-                    "L_SV": rep.sv.lower, "U_SV": rep.sv.upper,
-                    "sign": math.nan if rep.sign is None else float(rep.sign),
-                    "C1": rep.c1, "C2": rep.c2, "C3": rep.c3, "C4": rep.c4,
-                    "IIP": rep.iip,
-                }
-                for quantity in _SURFACE_QUANTITIES:
+                values = report_columns(rep)
+                values["sign"] = math.nan if rep.sign is None else float(rep.sign)
+                for quantity in REPORT_COLUMNS:
                     rows.append({"gamma": float(gamma), "rho": float(rho),
                                  "beta": float(beta), "quantity": quantity,
                                  "value": values[quantity]})

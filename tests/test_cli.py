@@ -1,18 +1,19 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ivpower.cli as cli
-from ivpower.cli import (ConfigError, REPORT_COLUMNS, _collect_ivsets,
+from ivpower.cli import (ConfigError, ROW_COLUMNS, _collect_ivsets,
                          _parse_ivset, _parse_values, fit_from_dict,
                          fit_to_dict, kernel_weights, main, report_from_dict,
                          report_row, report_to_dict, silverman_bandwidth,
                          write_csv)
-from ivpower.bounds import population_report
+from ivpower.bounds import Interval, population_report
 from ivpower.dgp import spec_to_dict
-from ivpower.estimation import (HmueConfig, estimated_report,
+from ivpower.estimation import (FitResult, HmueConfig, estimated_report,
                                 fit_bivariate_probit, write_dataset_csv)
 from ivpower.gaussian import rng_stream
 from ivpower.simulation import generate_sample, model2_spec, model3_spec
@@ -131,7 +132,7 @@ def test_fit_from_dict_rejects_asymmetric_vcov():
 def test_report_row_columns():
     rep = population_report(SPEC, (0.0,))
     row = report_row(rep)
-    assert set(row) == set(REPORT_COLUMNS)
+    assert set(row) == set(ROW_COLUMNS)
     assert row["sign"] == 1
     assert row["x"] == "0.0"
 
@@ -169,7 +170,7 @@ def test_dgp_bounds_command_is_reproducible(tmp_path, spec_path, capsys):
     assert (outs[0] / "bounds.csv").read_bytes() == (outs[1] / "bounds.csv").read_bytes()
     assert (outs[0] / "bounds.json").read_bytes() == (outs[1] / "bounds.json").read_bytes()
     header = (outs[0] / "bounds.csv").read_text().splitlines()[0]
-    assert header == ",".join(REPORT_COLUMNS)
+    assert header == ",".join(ROW_COLUMNS)
     payload = json.loads((outs[0] / "bounds.json").read_text())
     assert len(payload) == 2
     assert payload[0]["kind"] == "population"
@@ -181,7 +182,7 @@ def test_dgp_bounds_with_iv_subset(tmp_path, spec_path):
     assert main(["dgp-bounds", "--spec", spec_path, "--iv-set", "z1:1",
                  "--out", str(out)]) == 0
     row = (out / "bounds.csv").read_text().splitlines()[1].split(",")
-    iip = float(row[REPORT_COLUMNS.index("IIP")])
+    iip = float(row[ROW_COLUMNS.index("IIP")])
     assert iip == pytest.approx(0.305, abs=1e-3)
 
 
@@ -255,7 +256,7 @@ def test_estimate_command_is_reproducible(tmp_path, data_path):
     assert (outs[0] / "estimate.csv").read_bytes() == (outs[1] / "estimate.csv").read_bytes()
     assert (outs[0] / "estimate.json").read_bytes() == (outs[1] / "estimate.json").read_bytes()
     header = (outs[0] / "estimate.csv").read_text().splitlines()[0]
-    assert header == ",".join(("iv_set",) + REPORT_COLUMNS)
+    assert header == ",".join(("iv_set",) + ROW_COLUMNS)
     payload = json.loads((outs[0] / "estimate.json").read_text())
     assert payload[0]["kind"] == "estimated"
     assert payload[0]["iv_name"] == "z12"
@@ -304,6 +305,30 @@ def test_rank_ivs_command(tmp_path, data_path):
     assert all(row["ci_lo"] <= row["ci_hi"] for row in rows)
     header = (out / "ranking.csv").read_text().splitlines()[0]
     assert header.startswith("rank,iv_set,IIP")
+
+
+def test_rank_ivs_breaks_iip_ties_by_interval_width(tmp_path, data_path, monkeypatch):
+    # equal identification power: the narrower widest interval ranks first,
+    # even when its set name sorts last
+    widest = {"a": Interval(-0.2, 0.3), "b": Interval(0.0, 0.2)}
+
+    def report(data, ivset, *args, **kwargs):
+        fit = FitResult(params=np.array([10.0]), names=("gamma1",), loglik=-1.0,
+                        vcov=np.eye(1), converged=True, iterations=1)
+        return SimpleNamespace(iip=0.4, point_iip=0.4, fit=fit,
+                               widest=widest[ivset.name], sv=widest[ivset.name])
+
+    monkeypatch.setattr(cli, "estimated_report", report)
+    monkeypatch.setattr(cli, "bootstrap_dispersion", lambda *a, **k: SimpleNamespace(
+        sd=0.01, n_failed=0))
+    out = tmp_path / "tie"
+    assert main(["rank-ivs", "--data", data_path, "--iv-set", "a:1",
+                 "--iv-set", "b:2", "--out", str(out)]) == 0
+    rows = json.loads((out / "ranking.json").read_text())
+    assert [row["iv_set"] for row in rows] == ["b", "a"]
+    assert set(rows[0]) == {"rank", "iv_set", "IIP", "IIP_point", "boot_sd", "ci_lo",
+                            "ci_hi", "relevance_p", "boot_failures",
+                            "possibly_irrelevant"}
 
 
 def test_empirical_command(tmp_path, data_path):
