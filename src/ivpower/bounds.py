@@ -162,7 +162,8 @@ class BoundsStructure:
     parameter values with the membership and matching fixed.
 
     ``sign`` is None when the CPS support at ``x`` is degenerate; the
-    structure then holds only the benchmark families.
+    structure then holds only the benchmark families.  ``values`` holds
+    each family's member values at the parameters it was built at.
     """
 
     x: np.ndarray
@@ -171,6 +172,7 @@ class BoundsStructure:
     sign: object
     support: CpsSupport
     families: dict
+    values: dict = None
 
 
 def _match_nearest(p_grid_row, p):
@@ -261,7 +263,7 @@ def _solve(spec, x, ivset, match, include_sv=True):
     """The engine's one pass at x: grouping, cells, CPS support, sign,
     matching and families, with the families' values at ``spec``.
 
-    Returns (structure, values), values as name -> member array.  With
+    Returns the structure, its ``values`` as name -> member array.  With
     ``include_sv=False`` the covariate grid collapses to x, which is all
     the benchmark and widest bounds use.  Raises RuntimeError when the
     pairwise expectation contradicts a set membership.
@@ -277,7 +279,8 @@ def _solve(spec, x, ivset, match, include_sv=True):
                                   ("p_lo", "inf", T), ("p_hi", "sup", T))}
     if support.degenerate:
         structure = BoundsStructure(x, x[None], partition, None, support, fams)
-        return structure, {k: v[0] for k, v in _values(structure, one, None, None).items()}
+        structure.values = {k: v[0] for k, v in _values(structure, one, None, None).items()}
+        return structure
 
     grid = default_covariate_grid(spec, match) if include_sv else x[None]
     if grid.shape[1] != x.size:
@@ -337,7 +340,8 @@ def _solve(spec, x, ivset, match, include_sv=True):
     cells = (p11G[None], p10G[None], p_grid[None])
     values = _values(structure, one, cells, np.arange(G))
     structure.sign = int(ate_signs(structure, values)[0])
-    return structure, {k: v[0] for k, v in values.items()}
+    structure.values = {k: v[0] for k, v in values.items()}
+    return structure
 
 
 def ate_signs(structure, values):
@@ -475,10 +479,10 @@ def population_report(spec, x, ivset=None, match=None, include_sv=True):
     """
     ivset = ivset or identity_iv_set(spec.n_instruments)
     match = match or MatchConfig()
-    structure, values = _solve(spec, x, ivset, match, include_sv)
+    structure = _solve(spec, x, ivset, match, include_sv)
     return BoundsReport(
         x=tuple(structure.x), sign=structure.sign, irrelevant=structure.sign is None,
-        **assemble(values, structure.sign, include_sv),
+        **assemble(structure.values, structure.sign, include_sv),
         cps_lo=structure.support.p_lo, cps_hi=structure.support.p_hi,
         ate_model=true_ate(spec, structure.x),
     )
@@ -590,10 +594,11 @@ def build_structure(spec, x, ivset=None, match=None):
     """Fixed family structure for draw-based re-evaluation.
 
     Membership, matching and the ATE sign are frozen at ``spec``; the
-    sign is None when the CPS support at x is degenerate.
+    sign is None when the CPS support at x is degenerate.  The
+    structure's ``values`` are the families evaluated at ``spec``.
     """
     ivset = ivset or identity_iv_set(spec.n_instruments)
-    return _solve(spec, x, ivset, match or MatchConfig())[0]
+    return _solve(spec, x, ivset, match or MatchConfig())
 
 
 def evaluate_draws(structure, alphas, betas, pis, gammas, rhos):

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from scipy.special import ndtri
 
-from .gaussian import gaussian_copula, norm_cdf
+from .gaussian import binorm_cdf, norm_cdf
 
 __all__ = [
     "Discrete",
@@ -370,13 +371,16 @@ def cell_probs_arrays(v1, v0, p, rho):
     -------
     (p11, p10, p01, p00) arrays; sums are exactly 1 by construction.
     """
-    v1, v0, p = np.broadcast_arrays(
-        np.asarray(v1, dtype=float), np.asarray(v0, dtype=float), np.asarray(p, dtype=float)
-    )
-    u1 = norm_cdf(v1)
+    v1, v0 = np.broadcast_arrays(np.asarray(v1, dtype=float), np.asarray(v0, dtype=float))
+    p = np.asarray(p, dtype=float)
+    # the two columns on a leading axis, in front of every axis of p and rho
+    pad = max(p.ndim - v1.ndim, np.ndim(rho) - v1.ndim, 0)
+    v = np.stack([v1, v0]).reshape((2,) + (1,) * pad + v1.shape)
     u0 = norm_cdf(v0)
-    c1 = gaussian_copula(u1, np.clip(p, 0.0, 1.0), rho)
-    c0 = gaussian_copula(u0, np.clip(p, 0.0, 1.0), rho)
+    # both copula columns C(Phi(v), p) in one kernel call, the latent
+    # indices taken as they are; ndtri maps p = 0 and 1 to -inf and +inf,
+    # where the kernel returns C(u, 0) = 0 and C(u, 1) = u
+    c1, c0 = binorm_cdf(v, ndtri(np.clip(p, 0.0, 1.0)), rho)
     p11 = np.minimum(c1, p)
     p00 = np.clip(1.0 - u0 - p + c0, 0.0, 1.0)
     p01 = np.clip(p - p11, 0.0, 1.0)

@@ -30,7 +30,6 @@ from .bounds import (
     ate_signs,
     build_structure,
     evaluate_draws,
-    evaluate_structure,
     population_report,
 )
 from .dgp import DgpSpec, JointDiscrete, Normal, identity_iv_set, true_ate
@@ -576,7 +575,7 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None,
     grid = _estimation_grid(data, x_eval, match, include_sv)
     structure = build_structure(spec_hat, x_aug, iv_id, MatchConfig(match.tolerance_c, grid))
     sign = structure.sign
-    point_vals = evaluate_structure(structure, *unpack_params(fit.params, data.n_covariates))
+    point_vals = structure.values
     point = assemble(point_vals, sign, include_sv)
     common = dict(
         x=tuple(x_eval), sign=sign, irrelevant=sign is None,

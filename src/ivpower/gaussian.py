@@ -4,10 +4,24 @@ Univariate and bivariate standard-normal CDFs, the Gaussian copula, the
 inverse normal CDF, Gauss quadrature helpers, and seeded RNG streams.
 Everything is vectorized over numpy arrays and pure (no module state
 beyond cached quadrature nodes).
+
+The bivariate CDF `binorm_cdf` follows A. Genz, "Numerical computation
+of rectangular bivariate and trivariate normal and t probabilities",
+Statistics and Computing 14 (2004).  For |rho| <= 0.925 it integrates
+Drezner's single-integral form with 6, 12 or 20 Gauss-Legendre nodes
+for |rho| up to 0.3, 0.75 or 0.925; above that it integrates the
+transformed high-correlation form of Drezner & Wesolowsky (1990) with
+20 nodes.  The node terms depend on |rho| alone and are computed once
+per distinct value, so every (point, node) pair costs one exponential
+(two in the high-|rho| branch).  Against the Owen's-T route of the test
+oracle the absolute error measured at most 4.4e-16 for |rho| up to
+1 - 1e-10 (3,000 points in [-5, 5]^2 at each band edge and at
+|rho| = 0.97, 0.99, 0.999 and 1 - 2e-10).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -25,10 +39,11 @@ __all__ = [
 
 # |rho| beyond this is treated as the comonotone/countermonotone limit
 RHO_CLAMP = 1.0 - 1e-10
-# quadrature switches to the dense rule past this (boundary layer near |rho|=1)
-_RHO_DENSE = 0.925
-_NODES_LOW = 24
-_NODES_HIGH = 160
+# Gauss-Legendre node counts by |rho| band (Genz 2004); past the last
+# edge the high-|rho| branch takes over
+_BANDS = ((0.3, 6), (0.75, 12), (0.925, 20))
+_RHO_HIGH = _BANDS[-1][0]
+_NODES_HIGH = 20
 
 
 def norm_cdf(z):
@@ -51,28 +66,106 @@ def norm_ppf(p):
 
 @lru_cache(maxsize=8)
 def _leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
-def _binorm_finite(h, k, rho, n_nodes):
-    # single-integral reduction: Phi2(h,k;r) = Phi(h)Phi(k)
-    #   + (1/2pi) * int_0^{asin r} exp(-(h^2+k^2-2hk sin t)/(2 cos^2 t)) dt
-    theta = np.arcsin(rho)
-    x, w = _leggauss(n_nodes)
-    # map nodes from [-1,1] to [0, theta]; sign of theta rides along
-    t = 0.5 * theta[..., None] * (x + 1.0)
-    sin_t = np.sin(t)
-    cos2_t = 1.0 - sin_t * sin_t
-    hh = h[..., None]
-    kk = k[..., None]
-    expo = -(hh * hh + kk * kk - 2.0 * hh * kk * sin_t) / (2.0 * cos2_t)
-    integral = 0.5 * theta * np.einsum("...j,j->...", np.exp(expo), w)
-    return ndtr(h) * ndtr(k) + integral / (2.0 * np.pi)
+def _exp(e):
+    """exp in place, with exponents raised to -600 first: terms below
+    1e-260 are nil for a probability, while subnormal and underflowing
+    results send exp, and arithmetic on them, down slow paths."""
+    np.maximum(e, -600.0, out=e)
+    return np.exp(e, out=e)
+
+
+def _nodes_first(t, ndim):
+    """Node terms (n, *rho.shape) aligned against ``ndim``-dimensional
+    point arrays, the node axis in front."""
+    return t.reshape(t.shape[:1] + (1,) * (ndim + 1 - t.ndim) + t.shape[1:])
+
+
+def _genz_low(h, k, sign, r, ph, pk):
+    # Phi2(h, k; rho) = Phi(h) Phi(k)
+    #   + (1/2pi) int_0^{asin rho} exp((hk sin t - (h^2 + k^2)/2) / cos^2 t) dt
+    # sin t is odd in rho, so the nodes are taken at |rho| and the sign
+    # rides on hk and on the interval length
+    x, w = _leggauss(next(n for edge, n in _BANDS if np.max(r, initial=0.0) <= edge))
+    asr = np.arcsin(r)
+    sn = np.sin(np.multiply.outer(0.5 * (x + 1.0), asr))
+    q = 1.0 / (1.0 - sn * sn)
+    hk = h * k * sign
+    sn, q, log_w = (_nodes_first(t, hk.ndim) for t in (sn, q, np.log(w)))
+    e = sn * hk
+    e -= 0.5 * (h * h + k * k)
+    e *= q
+    e += log_w
+    _exp(e)
+    # summed node by node, so a point's value does not depend on the
+    # shape of the call it comes in
+    total = e[0].copy()
+    for term in e[1:]:
+        total += term
+    return ph * pk + total * (sign * asr / (4.0 * math.pi))
+
+
+def _genz_high(h, k, sign, r, ph, pk):
+    # Genz's BVND for |rho| > 0.925 in upper-orthant variables
+    # (-h, -sign*k), which reduces a negative rho to a positive one
+    x, w = _leggauss(_NODES_HIGH)
+    hk = h * k * sign
+    bs = h - sign * k
+    bs *= bs
+    a2 = (1.0 - r) * (1.0 + r)
+    a = np.sqrt(a2)
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 16.0
+    bvn = a * np.exp(-0.5 * (bs / a2 + hk)) * (
+        1.0 - c * (bs - a2) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a2 * a2 / 5.0)
+    b = np.sqrt(bs)
+    # exp(-hk/2) is capped where Phi(-b/a) underflows anyway
+    bvn -= (np.exp(-0.5 * np.maximum(hk, -100.0)) * math.sqrt(2.0 * math.pi)
+            * ndtr(-b / a) * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0))
+    # 15 operations per (point, node) pair: a loop over the nodes keeps
+    # the temporaries point-sized
+    half = 0.5 * a
+    xs = np.multiply.outer(1.0 + x, half)
+    xs *= xs
+    rs = np.sqrt(1.0 - xs)
+    hb, hh, cd = -0.5 * bs, -0.5 * hk, c * d
+    for xs_j, rs_j, w_j in zip(xs, rs, w):
+        # both exponents are <= 0 for every finite h, k
+        t = hb / xs_j
+        e1 = hk / (1.0 + rs_j)
+        np.subtract(t, e1, out=e1)
+        _exp(e1)
+        e1 /= rs_j
+        t += hh
+        e2 = _exp(t)
+        poly = cd * xs_j
+        poly += c
+        poly *= xs_j
+        poly += 1.0
+        e2 *= poly
+        e1 -= e2
+        e1 *= w_j * half
+        bvn += e1
+    bvn /= -2.0 * math.pi
+    # rho > 0: Phi(min(h, k)) + bvn; rho < 0: the lower Frechet part - bvn
+    low = np.where(h + k > 0.0,
+                   np.where(h > 0.0, pk - ndtr(-h), ph - ndtr(-k)), 0.0)
+    return np.where(sign > 0.0, np.minimum(ph, pk) + bvn, low - bvn)
 
 
 def binorm_cdf(a, b, rho):
     """Bivariate standard normal CDF Pr[A <= a, B <= b] with corr(A,B)=rho.
+
+    Genz's (2004) method: Gauss-Legendre quadrature of Drezner's single
+    integral with 6, 12 or 20 nodes for |rho| up to 0.3, 0.75 or 0.925,
+    and the transformed Drezner-Wesolowsky integrand at 20 nodes above
+    0.925.  Node terms are computed per element of rho's own
+    (unbroadcast) array, and once for the whole call when |rho| takes a
+    single value and only its sign varies, as in a likelihood.  Within
+    one call the |rho| <= 0.925 points share the node count of the
+    largest of them.
 
     Parameters
     ----------
@@ -85,50 +178,50 @@ def binorm_cdf(a, b, rho):
     Returns
     -------
     ndarray or float
-        Joint probability, absolute error below 1e-10.
+        Joint probability.  For |rho| <= 1 - 1e-10 the absolute error
+        against the Owen's-T route measured at most 4.4e-16; inside the
+        clamp the limit formula is off by up to about
+        sqrt(2 (1 - |rho|)) / (2 pi) < 2.3e-6.
     """
-    a, b, rho = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(rho, dtype=float)
-    )
-    if np.any(np.abs(rho) >= 1.0):
+    a, b, rho = (np.asarray(v, dtype=float) for v in (a, b, rho))
+    scalar = np.broadcast_shapes(a.shape, b.shape, rho.shape) == ()
+    # at least 1-d, so every temporary is an array the kernel can update
+    a, b, rho = np.atleast_1d(a, b, rho)
+    r = np.abs(rho)
+    if np.any(r >= 1.0):
         raise ValueError("binorm_cdf requires |rho| < 1")
-    scalar = a.ndim == 0
-    a, b, rho = np.atleast_1d(a), np.atleast_1d(b), np.atleast_1d(rho)
-
-    out = np.empty(a.shape, dtype=float)
+    sign = np.where(rho < 0.0, -1.0, 1.0)
+    if r.size > 1 and r.min() == r.max():
+        r = r.reshape(-1)[0]
     pa, pb = ndtr(a), ndtr(b)
+    finite = np.isfinite(a).all() and np.isfinite(b).all()
+    if not finite:
+        # the integrands take finite stand-ins; the sentinels are set below
+        fa, fb = np.isfinite(a), np.isfinite(b)
+        a, b = np.where(fa, a, 0.0), np.where(fb, b, 0.0)
 
-    neg_inf = (a == -np.inf) | (b == -np.inf)
-    a_inf = np.isposinf(a)
-    b_inf = np.isposinf(b)
-    at_limit = np.abs(rho) > RHO_CLAMP
-    plain = ~(neg_inf | a_inf | b_inf | at_limit)
+    high = r > _RHO_HIGH
+    if not np.any(high):
+        out = _genz_low(a, b, sign, r, pa, pb)
+    elif np.all(high):
+        out = _genz_high(a, b, sign, r, pa, pb)
+    else:
+        # rho's own array straddles the branch edge: split the points once
+        a, b, sign, r, pa, pb = np.broadcast_arrays(a, b, sign, r, pa, pb)
+        high = r > _RHO_HIGH
+        out = np.empty(a.shape)
+        low = ~high
+        out[low] = _genz_low(a[low], b[low], sign[low], r[low], pa[low], pb[low])
+        out[high] = _genz_high(a[high], b[high], sign[high], r[high], pa[high], pb[high])
 
-    out[neg_inf] = 0.0
-    # marginal reductions (either argument at +inf)
-    both_inf = a_inf & b_inf
-    out[a_inf & ~neg_inf] = pb[a_inf & ~neg_inf]
-    out[b_inf & ~neg_inf] = pa[b_inf & ~neg_inf]
-    out[both_inf] = 1.0
-    # Frechet limits near |rho|=1
-    lim = at_limit & ~(neg_inf | a_inf | b_inf)
-    if np.any(lim):
-        hi = lim & (rho > 0)
-        lo = lim & (rho < 0)
-        out[hi] = np.minimum(pa[hi], pb[hi])
-        out[lo] = np.maximum(pa[lo] + pb[lo] - 1.0, 0.0)
-
-    if np.any(plain):
-        r = rho[plain]
-        dense = np.abs(r) > _RHO_DENSE
-        vals = np.empty(r.shape, dtype=float)
-        if np.any(~dense):
-            vals[~dense] = _binorm_finite(a[plain][~dense], b[plain][~dense], r[~dense], _NODES_LOW)
-        if np.any(dense):
-            vals[dense] = _binorm_finite(a[plain][dense], b[plain][dense], r[dense], _NODES_HIGH)
-        out[plain] = vals
-
-    np.clip(out, 0.0, 1.0, out=out)
+    at_limit = r > RHO_CLAMP
+    if np.any(at_limit):
+        frechet = np.where(sign > 0.0, np.minimum(pa, pb), np.maximum(pa + pb - 1.0, 0.0))
+        out = np.where(at_limit, frechet, out)
+    if not finite:
+        # an infinite argument makes the upper Frechet bound exact
+        out = np.where(fa & fb, out, np.minimum(pa, pb))
+    out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 

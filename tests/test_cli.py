@@ -227,6 +227,38 @@ def test_config_errors_exit_2(tmp_path, spec_path, capsys):
     assert exc.value.code == 2
 
 
+def _spec_with_rho(tmp_path, rho):
+    doc = spec_to_dict(model2_spec())
+    doc["rho"] = rho
+    path = tmp_path / f"rho_{rho}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_rho_at_one_exits_2(tmp_path, capsys):
+    assert main(["dgp-bounds", "--spec", _spec_with_rho(tmp_path, 1.0)]) == 2
+    assert "rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho", [0.99999999999, -0.99999999999])
+def test_rho_inside_the_kernel_clamp_gives_nested_bounds(tmp_path, rho):
+    # |rho| within 1e-10 of 1 takes the kernel's Frechet limit
+    out = tmp_path / "out"
+    assert main(["dgp-bounds", "--spec", _spec_with_rho(tmp_path, rho),
+                 "--x", "0", "--x", "1", "--out", str(out)]) == 0
+    rows = (out / "bounds.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    for line in rows:
+        row = dict(zip(ROW_COLUMNS, map(float, line.split(","))))
+        assert all(math.isfinite(v) for v in row.values())
+        manski = Interval(row["L_M"], row["U_M"])
+        widest = Interval(row["L_bar"], row["U_bar"])
+        sv = Interval(row["L_SV"], row["U_SV"])
+        assert sv.lower <= sv.upper + 1e-12
+        assert widest.contains(sv, 1e-12)
+        assert manski.contains(widest, 1e-12)
+
+
 def test_data_errors_exit_3(tmp_path, capsys):
     assert main(["estimate", "--data", str(tmp_path / "no.csv")]) == 3
     assert "cannot read dataset" in capsys.readouterr().err

@@ -36,6 +36,10 @@ _PHI2_CASES = [
     (3.855, -0.732, -0.347, 0.23203989563458349),
     (-1.465, 1.109, -0.618, 0.033440678567873586),
     (-0.205, -1.512, -0.543, 0.0046740366058393821),
+    (0.5, 0.7, 0.97, 0.68190556989424162),
+    (-1.2, 0.3, -0.985, 9.5810186792667132e-10),
+    (2.1, 2.4, 0.999, 0.98213557943718145),
+    (-0.4, 0.6, -0.9995, 0.070325140639815796),
 ]
 
 
@@ -58,6 +62,39 @@ def test_binorm_cdf_matches_owens_t_route_broadly():
     got = binorm_cdf(h, k, rho)
     ref = np.array([binorm_ref(a, b, r) for a, b, r in zip(h, k, rho)])
     assert np.max(np.abs(got - ref)) < 1e-10
+
+
+# the node-count band edges, a hair to either side, and the high-|rho|
+# branch up to the Frechet clamp
+_KERNEL_RHOS = sorted({e + d for e in (0.3, 0.75, 0.925) for d in (-1e-9, 0.0, 1e-9)}
+                      | {0.97, 0.99, 0.999, 1.0 - 2e-10})
+
+
+@pytest.mark.parametrize("rho", [s * r for r in _KERNEL_RHOS for s in (1.0, -1.0)])
+def test_binorm_cdf_matches_owens_t_route_to_1e_14(rho):
+    rng = np.random.default_rng(11)
+    h, k = rng.uniform(-5.0, 5.0, size=(2, 400))
+    ref = np.array([binorm_ref(a, b, rho) for a, b in zip(h, k)])
+    assert np.max(np.abs(binorm_cdf(h, k, rho) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("r", [0.2, 0.6, 0.9, 0.99])
+def test_binorm_cdf_mixed_sign_call_equals_scalar_calls(r):
+    # the likelihood's shape: one |rho|, the sign varying by observation
+    rng = np.random.default_rng(5)
+    h, k = rng.normal(scale=2.0, size=(2, 300))
+    rho = r * np.where(rng.random(300) < 0.5, -1.0, 1.0)
+    got = binorm_cdf(h, k, rho)
+    one_by_one = np.array([binorm_cdf(a, b, c) for a, b, c in zip(h, k, rho)])
+    assert np.max(np.abs(got - one_by_one)) <= 1e-16
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-8, 8), st.floats(-8, 8), st.floats(-0.9999, 0.9999))
+def test_binorm_cdf_reflection_identity(h, k, rho):
+    # Phi2(h, k; -rho) = Phi(h) - Phi2(h, -k; rho)
+    assert binorm_cdf(h, k, -rho) == pytest.approx(
+        norm_cdf(h) - binorm_cdf(h, -k, rho), abs=1e-14)
 
 
 def test_binorm_cdf_zero_zero_closed_form():
