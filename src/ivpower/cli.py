@@ -436,10 +436,7 @@ def _relevance_pvalue(fit):
     idx = [i for i, name in enumerate(fit.names) if name.startswith("gamma")]
     coef = fit.params[idx]
     block = fit.vcov[np.ix_(idx, idx)]
-    try:
-        stat = float(coef @ np.linalg.solve(block, coef))
-    except np.linalg.LinAlgError:
-        return 1.0
+    stat = float(coef @ np.linalg.solve(block, coef))
     return float(chi2.sf(stat, len(idx)))
 
 

@@ -1,5 +1,9 @@
 """Maximum-likelihood estimation and corrected bound estimates.
 
+Every likelihood is maximized by `_newton` on closed-form terms (the
+probit's, and Greene's bivariate-probit Hessian in `_biprobit_terms`);
+a fit that fails raises instead of being repaired.
+
 Every finite-sample result takes one path.  `fit_set` fits the joint
 threshold-crossing model by maximum likelihood on an instrument set's
 columns and maps the fit to a plug-in `DgpSpec` whose covariate row is
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import log_ndtr, ndtr
 
 from .bounds import (
@@ -57,9 +60,8 @@ __all__ = [
 ]
 
 _SEPARATION_LIMIT = 1e3
-_PROBIT_TOL = 1e-8
-_JOINT_MAX_ITER = 500
-_HESSIAN_REL_STEP = 1e-5
+_GRAD_TOL = 1e-8
+_MAX_ITER = 100
 _RHO_MAX = 1.0 - 1e-12
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # quantile levels of the covariate grids: the estimation grid and the
@@ -226,7 +228,7 @@ class HmueConfig:
 
 
 # ---------------------------------------------------------------------------
-# probit
+# Newton fits; probit
 # ---------------------------------------------------------------------------
 
 def with_intercept(points):
@@ -239,73 +241,78 @@ def with_intercept(points):
     return np.concatenate([np.ones(points.shape[:-1] + (1,)), points], axis=-1)
 
 
-def _ensure_psd(mat):
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[0] >= 0.0:
-        return mat
-    fixed = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    return 0.5 * (fixed + fixed.T)
+def _newton(terms, start, max_iter):
+    """Maximize a log-likelihood by Newton steps from ``start``.
 
-
-def fit_probit(y, design, names, max_iter=100):
-    """Probit MLE of binary ``y`` on the columns of ``design``.
-
-    Newton iteration with step halving; raises on separation and on a
-    singular design.
+    ``terms(coef)`` gives (log-likelihood, gradient, information).  A step
+    solves against the information with its eigenvalues in absolute value
+    (Newton where the likelihood is concave, ascent at a saddle) and is
+    halved until the trial terms are finite and the log-likelihood does
+    not fall; after 20 failed trials the search stops.  Returns (coef, ll,
+    vcov, converged, iterations): converged is max|grad| < 1e-8, vcov the
+    Cholesky inverse of the information.
     """
+    coef = np.asarray(start, dtype=float)
+    # overflow at a far trial point is caught as non-finite terms
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ll, grad, info = terms(coef)
+        if not _finite((ll, grad, info)):
+            raise RuntimeError("non-finite likelihood terms at the start values")
+        iterations = 0
+        for iterations in range(1, max_iter + 1):
+            if np.max(np.abs(grad)) < _GRAD_TOL:
+                break
+            vals, vecs = np.linalg.eigh(info)
+            step = vecs @ ((vecs.T @ grad) / np.abs(vals))
+            for halvings in range(20):
+                cand = coef + 0.5 ** halvings * step
+                trial = terms(cand)
+                if _finite(trial) and _not_below(trial[0], ll):
+                    break
+            else:
+                break
+            coef, (ll, grad, info) = cand, trial
+            if np.max(np.abs(coef)) > _SEPARATION_LIMIT:
+                raise RuntimeError("separation: coefficients diverged")
+    try:
+        root = np.linalg.inv(np.linalg.cholesky(info))
+    except np.linalg.LinAlgError:
+        raise RuntimeError("singular or indefinite information at the fit: the maximum is "
+                           "on the boundary or the model is not identified") from None
+    return coef, ll, root.T @ root, bool(np.max(np.abs(grad)) < _GRAD_TOL), iterations
+
+
+def _finite(terms):
+    return all(np.isfinite(t).all() for t in terms)
+
+
+def _not_below(ll, ref):
+    """ll is at least ref, up to the rounding of a sum of log terms."""
+    return ll >= ref - 1e-12 * (1.0 + abs(ref))
+
+
+def fit_probit(y, design, names, max_iter=_MAX_ITER):
+    """Probit MLE of binary ``y`` on the columns of ``design`` by `_newton`."""
     y = np.asarray(y, dtype=float)
     design = np.asarray(design, dtype=float)
     q = 2.0 * y - 1.0
 
-    def newton_terms(coef):
+    def terms(coef):
         w = design @ coef
-        lam = q * np.exp(-0.5 * w * w - _LOG_SQRT_2PI - log_ndtr(q * w))
+        log_p = log_ndtr(q * w)
+        lam = q * np.exp(-0.5 * w * w - _LOG_SQRT_2PI - log_p)
         curv = lam * (lam + w)  # negative Hessian weights, always positive
-        return design.T @ lam, design.T @ (design * curv[:, None])
+        return float(np.sum(log_p)), design.T @ lam, design.T @ (design * curv[:, None])
 
-    coef = np.zeros(design.shape[1])
-    ll = float(np.sum(log_ndtr(q * (design @ coef))))
-    grad, neg_hess = newton_terms(coef)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(grad)) < _PROBIT_TOL:
-            break
-        try:
-            step = np.linalg.solve(neg_hess, grad)
-        except np.linalg.LinAlgError:
-            raise RuntimeError("singular design in probit fit") from None
-        scale = 1.0
-        while True:
-            cand = coef + scale * step
-            ll_new = float(np.sum(log_ndtr(q * (design @ cand))))
-            if ll_new >= ll - 1e-12 or scale < 1e-6:
-                break
-            scale *= 0.5
-        coef, ll = cand, ll_new
-        if np.max(np.abs(coef)) > _SEPARATION_LIMIT:
-            raise RuntimeError("separation: probit coefficients diverged")
-        grad, neg_hess = newton_terms(coef)
-    try:
-        vcov = np.linalg.inv(neg_hess)
-    except np.linalg.LinAlgError:
-        raise RuntimeError("singular design in probit fit") from None
-    vcov = _ensure_psd(0.5 * (vcov + vcov.T))
-    return FitResult(
-        params=coef, names=tuple(names), loglik=ll,
-        vcov=vcov, converged=bool(np.max(np.abs(grad)) < _PROBIT_TOL),
-        iterations=iterations,
-    )
+    coef, ll, vcov, converged, iterations = _newton(
+        terms, np.zeros(design.shape[1]), max_iter)
+    return FitResult(params=coef, names=tuple(names), loglik=ll, vcov=vcov,
+                     converged=converged, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
 # bivariate probit
 # ---------------------------------------------------------------------------
-
-def _binorm_pdf(a, b, r):
-    det = 1.0 - r * r
-    quad = (a * a - 2.0 * r * a * b + b * b) / det
-    return np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
-
 
 def _joint_designs(data):
     """Likelihood inputs (r1, r2, s1, s2): the outcome design [d, 1, x], the
@@ -315,88 +322,88 @@ def _joint_designs(data):
             2.0 * data.y - 1.0, 2.0 * data.d - 1.0)
 
 
-def _biprobit_ll(theta, r1, r2, s1, s2):
+def _biprobit_terms(theta, r1, r2, s1, s2, hessian):
+    """Log-likelihood, gradient and (with ``hessian``) the information.
+
+    An observation adds log F, F = Phi2(a, b; r), a = s1 w1, b = s2 w2,
+    r = s1 s2 rho.  With ga = F_a/F, gb = F_b/F, gr = phi2/F, D = 1 - r^2
+    and Q = (a^2 - 2rab + b^2)/D, Greene's (Econometric Analysis) second
+    derivatives of log F are aa -a ga - r gr - ga^2, bb -b gb - r gr - gb^2,
+    ab gr - ga gb, ar -gr (a - rb)/D - ga gr, br -gr (b - ra)/D - gb gr and
+    rr gr (r (1 - Q) + ab)/D - gr^2, chained through da = s1 r1, db = s2 r2
+    and dr/drho_z = s1 s2 (1 - rho^2).  One `binorm_cdf` call.
+    """
     p1 = r1.shape[1]
-    w1 = r1 @ theta[:p1]
-    w2 = r2 @ theta[p1:-1]
     rho = float(np.clip(np.tanh(theta[-1]), -_RHO_MAX, _RHO_MAX))
-    a = s1 * w1
-    b = s2 * w2
-    r = s1 * s2 * rho
+    a, b = s1 * (r1 @ theta[:p1]), s2 * (r2 @ theta[p1:-1])
+    s12 = s1 * s2
+    r = s12 * rho
     prob = np.clip(binorm_cdf(a, b, r), 1e-300, 1.0)
     ll = float(np.sum(np.log(prob)))
-    root = math.sqrt(1.0 - rho * rho)
+    det = 1.0 - rho * rho
+    root = math.sqrt(det)
     ga = norm_pdf(a) * ndtr((b - r * a) / root) / prob
     gb = norm_pdf(b) * ndtr((a - r * b) / root) / prob
-    gr = _binorm_pdf(a, b, r) / prob
-    g1 = r1.T @ (ga * s1)
-    g2 = r2.T @ (gb * s2)
-    gz = float(np.sum(gr * s1 * s2)) * (1.0 - rho * rho)
-    return ll, np.concatenate([g1, g2, [gz]])
+    quad = (a * a - 2.0 * r * a * b + b * b) / det
+    gr = np.exp(-0.5 * quad) / (2.0 * math.pi * root) / prob
+    grad = np.concatenate([r1.T @ (ga * s1), r2.T @ (gb * s2),
+                           [float(gr @ s12) * det]])
+    if not hessian:
+        return ll, grad
+    h_aa = -a * ga - r * gr - ga * ga
+    h_bb = -b * gb - r * gr - gb * gb
+    h_ab = (gr - ga * gb) * s12
+    h_ar = (-gr * (a - r * b) / det - ga * gr) * s2 * det
+    h_br = (-gr * (b - r * a) / det - gb * gr) * s1 * det
+    h_rr = (gr * (r * (1.0 - quad) + a * b) / det - gr * gr) * det * det
+    h_zz = float(np.sum(h_rr)) - 2.0 * rho * float(gr @ s12) * det
+    h_12 = r1.T @ (r2 * h_ab[:, None])
+    hess = np.block([
+        [r1.T @ (r1 * h_aa[:, None]), h_12, (r1.T @ h_ar)[:, None]],
+        [h_12.T, r2.T @ (r2 * h_bb[:, None]), (r2.T @ h_br)[:, None]],
+        [r1.T @ h_ar, r2.T @ h_br, h_zz],
+    ])
+    return ll, grad, -hess
 
 
 def biprobit_loglik(theta, data):
-    """Joint log-likelihood and its analytic gradient.
-
-    Parameter layout: (alpha, beta0..k, pi0..k, gamma1..m, rho_z).
-    """
-    return _biprobit_ll(np.asarray(theta, dtype=float), *_joint_designs(data))
-
-
-def _hessian_from_gradient(grad_fn, theta):
-    p = theta.size
-    hess = np.empty((p, p))
-    for j in range(p):
-        h = _HESSIAN_REL_STEP * max(1.0, abs(theta[j]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += h
-        dn[j] -= h
-        hess[:, j] = (grad_fn(up) - grad_fn(dn)) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
+    """Joint log-likelihood and its analytic gradient at ``theta``, laid
+    out as (alpha, beta0..k, pi0..k, gamma1..m, rho_z)."""
+    return _biprobit_terms(np.asarray(theta, dtype=float), *_joint_designs(data),
+                           hessian=False)
 
 
 def fit_bivariate_probit(data):
     """Joint MLE of the outcome and treatment threshold equations.
 
     The dependence parameter is optimized as rho_z with rho = tanh(rho_z)
-    so the search is unconstrained; starting values come from the two
-    marginal probits.  The covariance is the inverse observed
-    information, with the Hessian taken by central differences of the
-    analytic gradient.
+    so the search is unconstrained; it starts from the two marginal
+    probits and rho_z = 0.  Raises RuntimeError when `_newton` fails and
+    when the likelihood at rho = +-1 is as high as at the fit (an MLE on
+    the boundary, which tanh reaches only as rho_z -> +-inf).
     """
     if data.n_instruments < 1:
         raise ValueError("at least one instrument column is required")
     k = data.n_covariates
-    names = (("alpha",)
-             + tuple(f"beta{j}" for j in range(k + 1))
-             + tuple(f"pi{j}" for j in range(k + 1))
-             + tuple(f"gamma{j}" for j in range(1, data.n_instruments + 1))
-             + ("rho_z",))
+    names = ("alpha", *(f"beta{j}" for j in range(k + 1)), *(f"pi{j}" for j in range(k + 1)),
+             *(f"gamma{j}" for j in range(1, data.n_instruments + 1)), "rho_z")
     r1, r2, s1, s2 = _joint_designs(data)
-    f1 = fit_probit(data.y, r1, names[:k + 2])
-    f2 = fit_probit(data.d, r2, names[k + 2:-1])
-    start = np.concatenate([f1.params, f2.params, [0.0]])
-
-    def negated(theta):
-        ll, grad = _biprobit_ll(theta, r1, r2, s1, s2)
-        return -ll, -grad
-
-    res = minimize(negated, start, jac=True, method="L-BFGS-B",
-                   options={"maxiter": _JOINT_MAX_ITER, "ftol": 1e-12, "gtol": 1e-8})
-    theta = res.x
-    if np.max(np.abs(theta[:-1])) > _SEPARATION_LIMIT:
-        raise RuntimeError("separation: joint fit coefficients diverged")
-    hess = _hessian_from_gradient(lambda t: _biprobit_ll(t, r1, r2, s1, s2)[1], theta)
-    try:
-        vcov = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError:
-        raise RuntimeError("observed information is singular") from None
-    vcov = _ensure_psd(0.5 * (vcov + vcov.T))
-    ll = -float(res.fun)
+    start = np.concatenate([fit_probit(data.y, r1, names[:k + 2]).params,
+                            fit_probit(data.d, r2, names[k + 2:-1]).params, [0.0]])
+    theta, ll, vcov, converged, iterations = _newton(
+        lambda t: _biprobit_terms(t, r1, r2, s1, s2, hessian=True), start, _MAX_ITER)
+    # the likelihood at rho = sign(rho_z), where Phi2 is a Frechet bound
+    a, b = s1 * (r1 @ theta[:k + 2]), s2 * (r2 @ theta[k + 2:-1])
+    edge = np.where(s1 * s2 * theta[-1] > 0.0, ndtr(np.minimum(a, b)),
+                    np.maximum(ndtr(a) - ndtr(-b), 0.0))
+    with np.errstate(divide="ignore"):
+        at_edge = _not_below(float(np.sum(np.log(edge))), ll)
+    if at_edge:
+        raise RuntimeError(
+            f"the MLE is on the boundary rho = {math.copysign(1.0, theta[-1]):+.0f}: "
+            f"the likelihood there is as high as at the fit (rho_z = {theta[-1]:.4g})")
     return FitResult(params=theta, names=names, loglik=ll, vcov=vcov,
-                     converged=bool(res.success) and math.isfinite(ll),
-                     iterations=int(res.nit))
+                     converged=converged, iterations=iterations)
 
 
 def unpack_params(theta, n_covariates):
@@ -437,10 +444,13 @@ def fit_set(data, ivset):
     columns and its plug-in spec.
 
     Returns (fit, spec, identity instrument set); raises RuntimeError,
-    naming the set, when the fit did not converge.
+    naming the set, when the fit fails or did not converge.
     """
     sub = Dataset(y=data.y, d=data.d, x=data.x, z=ivset.columns(data.z))
-    fit = fit_bivariate_probit(sub)
+    try:
+        fit = fit_bivariate_probit(sub)
+    except RuntimeError as exc:
+        raise RuntimeError(f"joint fit for {ivset.name}: {exc}") from None
     if not fit.converged:
         raise RuntimeError(f"joint fit did not converge for {ivset.name}")
     return (fit, *fitted_spec(fit, sub))

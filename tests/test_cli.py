@@ -13,7 +13,7 @@ from ivpower.cli import (ConfigError, ROW_COLUMNS, _collect_ivsets,
                          write_csv)
 from ivpower.bounds import Interval, population_report
 from ivpower.dgp import spec_to_dict
-from ivpower.estimation import (FitResult, HmueConfig, estimated_report,
+from ivpower.estimation import (Dataset, FitResult, HmueConfig, estimated_report,
                                 fit_bivariate_probit, write_dataset_csv)
 from ivpower.gaussian import rng_stream
 from ivpower.simulation import generate_sample, model2_spec, model3_spec
@@ -242,7 +242,7 @@ def test_rho_at_one_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("rho", [0.99999999999, -0.99999999999])
 def test_rho_inside_the_kernel_clamp_gives_nested_bounds(tmp_path, rho):
-    # |rho| within 1e-10 of 1 takes the kernel's Frechet limit
+    # |rho| within 1e-10 of 1, where the kernel's high-|rho| branch holds
     out = tmp_path / "out"
     assert main(["dgp-bounds", "--spec", _spec_with_rho(tmp_path, rho),
                  "--x", "0", "--x", "1", "--out", str(out)]) == 0
@@ -266,6 +266,24 @@ def test_data_errors_exit_3(tmp_path, capsys):
     broken.write_text("a,b\n1,2\n")
     assert main(["estimate", "--data", str(broken)]) == 3
     assert "missing column" in capsys.readouterr().err
+
+
+def test_non_finite_cell_exits_3(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("y,d,x1,z1\n1,0,0.5,1\n0,1,nan,0\n1,1,-0.2,1\n")
+    assert main(["estimate", "--data", str(path), "--out", str(tmp_path)]) == 3
+    assert "non-finite values in x" in capsys.readouterr().err
+
+
+def test_perfectly_separated_data_exits_4(tmp_path, capsys):
+    # y = d: the outcome equation predicts y exactly from d, so the
+    # likelihood has no interior maximum
+    data = generate_sample(SPEC, 400, rng_stream(5))
+    path = tmp_path / "separated.csv"
+    write_dataset_csv(Dataset(y=data.d, d=data.d, x=data.x, z=data.z), str(path))
+    assert main(["estimate", "--data", str(path), "--hmue-sims", "100",
+                 "--out", str(tmp_path / "out")]) == 4
+    assert "joint fit for all: singular or indefinite information" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_4(tmp_path, data_path, monkeypatch, capsys):

@@ -44,6 +44,76 @@ def test_biprobit_gradient_matches_central_differences():
     assert worst < 1e-5
 
 
+def _information(theta, data):
+    return est._biprobit_terms(theta, *est._joint_designs(data), hessian=True)[2]
+
+
+def test_biprobit_hessian_matches_central_differences_of_the_gradient():
+    data = _sample(400)
+    rng = np.random.default_rng(17)
+    p = 2 + 2 * (data.n_covariates + 1) + data.n_instruments
+    thetas = [rng.normal(scale=0.35, size=p) for _ in range(30)]
+    thetas.append(fit_bivariate_probit(data).params)
+    worst = 0.0
+    for theta in thetas:
+        num = np.empty((p, p))
+        for j in range(p):
+            h = 1e-5 * max(1.0, abs(theta[j]))
+            up, dn = theta.copy(), theta.copy()
+            up[j] += h
+            dn[j] -= h
+            num[:, j] = (biprobit_loglik(up, data)[1] - biprobit_loglik(dn, data)[1]) / (2 * h)
+        info = _information(theta, data)
+        assert np.max(np.abs(info - info.T)) <= 1e-14 * np.max(np.abs(info))
+        worst = max(worst, np.max(np.abs(num + info)) / np.max(np.abs(info)))
+    assert worst <= 1e-6
+
+
+# n from 500 to 10,000 and rho in {+-0.5, +-0.9, 0.29}
+_SIZING_SAMPLES = [(500, 3, 0.5), (5000, 3, 0.5), (5000, 3, 0.9),
+                   (10000, 4, -0.9), (2000, 5, -0.5), (1000, 6, 0.29)]
+
+
+@pytest.mark.parametrize("n,seed,rho", _SIZING_SAMPLES)
+def test_converged_fit_has_a_vanishing_gradient_and_inverse_information(n, seed, rho):
+    data = _sample(n, seed=seed, rho=rho)
+    fit = fit_bivariate_probit(data)
+    assert fit.converged
+    assert np.max(np.abs(biprobit_loglik(fit.params, data)[1])) < 1e-8
+    assert fit.iterations <= 12
+    np.testing.assert_allclose(fit.vcov @ _information(fit.params, data),
+                               np.eye(fit.params.size), atol=1e-9)
+
+
+def test_newton_step_climbs_away_from_a_saddle_start():
+    # at the probit start the information has a negative eigenvalue, so a
+    # plain Newton step would descend; the step on |eigenvalues| climbs
+    data = _sample(5000, seed=3, rho=0.9)
+    r1, r2, s1, s2 = est._joint_designs(data)
+    start = np.concatenate([fit_probit(data.y, r1, ()).params,
+                            fit_probit(data.d, r2, ()).params, [0.0]])
+    assert np.linalg.eigvalsh(_information(start, data))[0] < -1.0
+    fit = fit_bivariate_probit(data)
+    assert fit.converged and fit.iterations <= 10
+    assert fit.params[-1] == pytest.approx(math.atanh(0.9), abs=0.15)
+
+
+def test_mle_on_the_rho_boundary_is_a_named_failure():
+    # the likelihood of this sample rises all the way to rho = -1, which
+    # tanh reaches only as rho_z -> -inf
+    data = _sample(500, seed=22)
+    with pytest.raises(RuntimeError, match="boundary rho = -1"):
+        fit_set(data, standard_iv_sets()[0])
+
+
+def test_singular_information_raises():
+    # a duplicated design column leaves one direction without information
+    data = _sample(300)
+    design = np.column_stack([np.ones(data.n), data.x[:, 0], data.x[:, 0]])
+    with pytest.raises(RuntimeError, match="singular or indefinite"):
+        fit_probit(data.d, design, ("const", "x1", "x1copy"))
+
+
 def test_probit_intercept_only_closed_form():
     data = _sample(5000)
     fit = fit_probit(data.y, np.ones((data.n, 1)), ("const",))

@@ -103,12 +103,48 @@ def test_binorm_cdf_zero_zero_closed_form():
         assert binorm_cdf(0.0, 0.0, rho) == pytest.approx(want, abs=1e-14)
 
 
+# |rho| a hair below 1, where Phi2 parts from its Frechet limit by about
+# sqrt(2 (1 - |rho|)) / (2 pi) on the diagonal: frozen mpmath (dps=40)
+# values of Phi(h) - 2 T(h, sqrt((1 - rho)/(1 + rho))) and, for negative
+# rho, Phi(h) - Phi2(h, h; -rho)
+_NEAR_ONE = (5e-11, 1e-12, 1e-14, 2.0 ** -52)
+_NEAR_ONE_CASES = [
+    (0.7, 0.7, 1.0 - 5e-11, 0.75803510206391302),
+    (0.7, -0.7, -(1.0 - 5e-11), 1.2457130139545499e-6),
+    (-1.3, -1.3, 1.0 - 5e-11, 0.096799800923813037),
+    (-1.3, 1.3, -(1.0 - 5e-11), 6.8366179728859894e-7),
+    (0.7, 0.7, 1.0 - 1e-12, 0.75803617160845895),
+    (0.7, -0.7, -(1.0 - 1e-12), 1.7616846802024751e-7),
+    (-1.3, -1.3, 1.0 - 1e-12, 0.096800387902305163),
+    (-1.3, 1.3, -(1.0 - 1e-12), 9.6683305162360535e-8),
+    (0.7, 0.7, 1.0 - 1e-14, 0.75803633016692717),
+    (0.7, -0.7, -(1.0 - 1e-14), 1.7609999799871259e-8),
+    (-1.3, -1.3, 1.0 - 1e-14, 0.096800474921037524),
+    (-1.3, 1.3, -(1.0 - 1e-14), 9.6645728017828132e-9),
+    (0.7, 0.7, 1.0 - 2.0 ** -52, 0.7580363451517832),
+    (0.7, -0.7, -(1.0 - 2.0 ** -52), 2.6251437757513207e-9),
+    (-1.3, -1.3, 1.0 - 2.0 ** -52, 0.096800483144900875),
+    (-1.3, 1.3, -(1.0 - 2.0 ** -52), 1.4407094505521322e-9),
+]
+
+
+@pytest.mark.parametrize("h,k,rho,expected", _NEAR_ONE_CASES)
+def test_binorm_cdf_near_unit_correlation_against_frozen_reference(h, k, rho, expected):
+    assert abs(binorm_cdf(h, k, rho) - expected) <= 1.1e-16
+
+
+@pytest.mark.parametrize("rho", [s * (1.0 - d) for d in _NEAR_ONE for s in (1.0, -1.0)])
+def test_binorm_cdf_zero_zero_closed_form_near_unit_correlation(rho):
+    want = 0.25 + math.asin(rho) / (2.0 * math.pi)
+    assert abs(binorm_cdf(0.0, 0.0, rho) - want) <= 1.1e-16
+
+
 def test_binorm_cdf_limits_and_sentinels():
     assert binorm_cdf(np.inf, 0.7, 0.3) == pytest.approx(norm_cdf(0.7), abs=1e-15)
     assert binorm_cdf(-0.2, np.inf, -0.6) == pytest.approx(norm_cdf(-0.2), abs=1e-15)
     assert binorm_cdf(-np.inf, 1.0, 0.5) == 0.0
     assert binorm_cdf(2.0, -np.inf, 0.5) == 0.0
-    # comonotone / countermonotone limits just inside the clamp
+    # close to the comonotone / countermonotone limits
     assert binorm_cdf(0.4, 1.3, 1.0 - 1e-12) == pytest.approx(norm_cdf(0.4), abs=1e-12)
     assert binorm_cdf(0.4, -0.1, -1.0 + 1e-12) == pytest.approx(
         max(0.0, norm_cdf(0.4) + norm_cdf(-0.1) - 1.0), abs=1e-12)
