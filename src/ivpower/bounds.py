@@ -24,7 +24,9 @@ Every quantity comes out of one bound engine, in five steps:
    covariate grid;
 3. families: `_solve` matches propensities across the grid and flattens
    every sup/inf bounding step into a family of member values
-   (`BoundsStructure`), with the CPS support and the ATE sign;
+   (`BoundsStructure`), with the CPS support and the ATE sign; the
+   matching, the family construction and the pairwise sign check are
+   array operations over the T own-support groups and G grid rows;
 4. evaluation: `_family_values` holds the member formulas; it evaluates
    the families on the solve's own cells (population values) and, in
    `evaluate_draws`, at R parameter draws with the structure frozen (a
@@ -191,27 +193,20 @@ def _build_families(prefix, grid_ok, pstar, jstar, sets):
     matched propensity and its group index.  Every family carries a bare
     member per outer propensity covering the empty-set convention.
     """
-    T, G = grid_ok.shape
+    # a leading column holds the bare member, so nonzero runs t-major,
+    # bare member first, then ascending grid row
+    lead = ((0, 0), (1, 0))
+    j_ext = np.pad(jstar, lead, constant_values=-1)
+    in_tie = (pstar > _TIE) & (pstar < 1.0 - _TIE)
     fams = {}
 
     def collect(form, role, member_set, conditional):
-        ts, gs, js = [], [], []
-        for t in range(T):
-            ts.append(t)
-            gs.append(-1)
-            js.append(-1)
-            for g in range(G):
-                if not (grid_ok[t, g] and member_set[g]):
-                    continue
-                if conditional and not (_TIE < pstar[t, g] < 1.0 - _TIE):
-                    continue
-                ts.append(t)
-                gs.append(g)
-                js.append(jstar[t, g])
+        keep = grid_ok & member_set[None, :]
+        if conditional:
+            keep &= in_tie
+        t, col = np.nonzero(np.pad(keep, lead, constant_values=True))
         fams[f"{prefix}{form}"] = _Family(
-            f"{prefix}{form}", role, form,
-            np.array(ts), np.array(gs), np.array(js),
-        )
+            f"{prefix}{form}", role, form, t, col - 1, j_ext[t, col])
 
     collect("L1", "sup", sets["x1p"], conditional=False)
     collect("U0", "inf", sets["x0p"], conditional=True)
@@ -300,14 +295,12 @@ def _solve(spec, x, ivset, match, include_sv=True):
 
     p11G, p10G, p_grid = partition.spec_cells(spec, grid)  # all (G, T)
     G = grid.shape[0]
-    pstar = np.empty((T, G))
-    jstar = np.empty((T, G), dtype=int)
-    for t in range(T):
-        d = np.abs(p_grid - pown[t])
-        dmin = d.min(axis=1)
-        cand = np.where(d <= dmin[:, None], p_grid, np.inf)
-        jstar[t] = np.argmin(cand, axis=1)
-        pstar[t] = p_grid[np.arange(G), jstar[t]]
+    # nearest attainable propensity per (outer group t, grid row), over
+    # the (T, G, T) distances; ties go to the smaller value
+    d = np.abs(p_grid[None] - pown[:, None, None])
+    cand = np.where(d <= d.min(axis=2, keepdims=True), p_grid[None], np.inf)
+    jstar = np.argmin(cand, axis=2)
+    pstar = p_grid[np.arange(G), jstar]
     grid_ok = np.abs(pstar - pown[:, None]) <= _c_eff(spec, match.tolerance_c)
 
     sets = {
@@ -361,7 +354,8 @@ def ate_signs(structure, values):
 def _h_sign_check(structure, arrays):
     """Population consistency check: the numeric pairwise expectation H
     must share the sign of the latent-index comparison that defined the
-    set memberships.  Returns a list of offending grid rows.
+    set memberships.  Returns the offending grid rows as (row, H, latent)
+    tuples in row order.
 
     The rectangle contrast is evaluated at approximately matched
     propensities, which perturbs it by at most the matching slack, so a
@@ -393,14 +387,19 @@ def _h_sign_check(structure, arrays):
     h_rev = ((p11o[:, None] - p11o[None, :])[:, :, None]
              + m10[:, None, :] - m10[None, :, :])
     pair_slack = slack_t[:, None, :] + slack_t[None, :, :]
+    live = np.nonzero(wsum > 0)[0]
+
+    def mean(arr):
+        # weighted mean over the (t, s) pairs, every live grid row at once
+        return np.einsum("tsg,tsg->g", w, arr)[live] / wsum[live]
+
+    tol = mean(pair_slack) + 1e-10
     mism = []
-    for g in np.where(wsum > 0)[0]:
-        tol = (w[:, :, g] * pair_slack[:, :, g]).sum() / wsum[g] + 1e-10
-        for hval, lat in (((w[:, :, g] * h_fwd[:, :, g]).sum() / wsum[g], v1g[g] - v0x),
-                          ((w[:, :, g] * h_rev[:, :, g]).sum() / wsum[g], v1x - v0g[g])):
-            if (hval > tol and lat < -_TIE) or (hval < -tol and lat > _TIE):
-                mism.append((int(g), float(hval), float(lat)))
-    return mism
+    for hval, lat in ((mean(h_fwd), v1g[live] - v0x), (mean(h_rev), v1x - v0g[live])):
+        bad = ((hval > tol) & (lat < -_TIE)) | ((hval < -tol) & (lat > _TIE))
+        mism += zip(live[bad].tolist(), hval[bad].tolist(), lat[bad].tolist())
+    # row order; at a shared row the forward contrast comes first
+    return sorted(mism, key=lambda m: m[0])
 
 
 # ---------------------------------------------------------------------------

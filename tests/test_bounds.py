@@ -380,3 +380,32 @@ def test_permuting_instrument_columns_leaves_reports_unchanged(covariate, rho):
                 for name in _FLOAT_FIELDS:
                     worst = max(worst, abs(getattr(got, name) - getattr(rep, name)))
     assert worst <= 1e-15
+
+
+def _scale_instruments(spec, c):
+    """The same model with every instrument value times c and gamma / c."""
+    return replace(spec, gamma=tuple(g / c for g in spec.gamma),
+                   iv_dists=tuple(Discrete(tuple(c * v for v in d.values), d.probs)
+                                  for d in spec.iv_dists))
+
+
+@pytest.mark.parametrize("c", [0.5, 3.0])
+@pytest.mark.parametrize("covariate", ["normal", "bernoulli"])
+def test_scaling_instruments_against_gamma_leaves_reports_unchanged(covariate, c):
+    # c > 0 keeps every sign, so the raw-coded sets and the gt0 recode
+    # group the support as before; only gamma'z is rounded differently
+    spec = model3_spec(rho=0.5, covariate=covariate)
+    scaled = _scale_instruments(spec, c)
+    worst = 0.0
+    for ivset in standard_iv_sets():
+        for x in (-1.0, 0.0, 1.0):
+            rep = population_report(spec, np.array([x]), ivset)
+            got = population_report(scaled, np.array([x]), ivset)
+            assert (got.sign, got.irrelevant) == (rep.sign, rep.irrelevant)
+            for name in ("manski", "widest", "sv"):
+                a, b = getattr(rep, name), getattr(got, name)
+                worst = max(worst, abs(b.lower - a.lower), abs(b.upper - a.upper))
+            for name in _FLOAT_FIELDS:
+                worst = max(worst, abs(getattr(got, name) - getattr(rep, name)))
+    print(f"instrument scale {c}, {covariate} covariate: largest difference {worst:.3e}")
+    assert worst <= 1e-12
