@@ -20,7 +20,7 @@ def power_table(rho):
     print(f"\nrho = {rho}")
     print(f"{'set':<10} {'cps range':<18} {'IIP':>6}")
     for ivset in standard_iv_sets():
-        rep = population_report(spec, X0, ivset, include_sv=False)
+        rep = population_report(spec, X0, ivset, grid=X0)
         rng = f"[{rep.cps_lo:.3f}, {rep.cps_hi:.3f}]"
         print(f"{ivset.name:<10} {rng:<18} {rep.iip:6.3f}")
 

@@ -6,10 +6,10 @@ Implements, for the joint threshold-crossing model in `dgp`:
   construction),
 * the sign of the conditional ATE recovered from the outcome probability
   at the extreme propensities,
-* widest bounds that use only the two CPS extremes at the evaluation
-  point,
-* two-layer intersection bounds that additionally match covariate points
-  x' where a nearby propensity value is attainable,
+* two-layer intersection bounds that match covariate points x' where a
+  nearby propensity value is attainable,
+* widest bounds: the two-layer bounds over x' = x alone, which use only
+  the two CPS extremes at the evaluation point,
 * the additive decomposition of the identification gain into instrument
   validity (C1), instrument strength (C2), covariate matching (C3) and
   the remaining interval width (C4), and the instrument identification
@@ -21,7 +21,7 @@ Every quantity comes out of one bound engine, in five steps:
    the used-instrument key, once per report;
 2. cells: `SupportPartition.group_cells` gives the observable group cells
    for a batch of R parameter values at the evaluation point and the
-   covariate grid;
+   covariate grid, the candidate rows x' the caller passes as ``grid``;
 3. families: `_solve` matches propensities across the grid and flattens
    every sup/inf bounding step into a family of member values
    (`BoundsStructure`), with the CPS support and the ATE sign; the
@@ -38,6 +38,7 @@ Every quantity comes out of one bound engine, in five steps:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,21 +108,19 @@ class MatchConfig:
     """Covariate-matching configuration for the two-layer bounds.
 
     ``tolerance_c`` is the largest |p' - p| accepted when matching a
-    propensity at another covariate point (matching is exact when the
-    covariate does not enter the treatment index).  ``covariate_grid``
-    overrides the default grid built from the covariate distribution.
+    propensity at another covariate point; it must be finite and >= 0.
     """
 
     tolerance_c: float = 0.01
-    covariate_grid: tuple = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tolerance_c) and self.tolerance_c >= 0.0):
+            raise ValueError(f"tolerance_c must be finite and >= 0, got {self.tolerance_c}")
 
 
-def default_covariate_grid(spec, match=None):
+def default_covariate_grid(spec):
     """Candidate x' points: the support for discrete covariates, a
     mean +/- 4 sd lattice for normal ones."""
-    match = match or MatchConfig()
-    if match.covariate_grid is not None:
-        return np.atleast_2d(np.asarray(match.covariate_grid, dtype=float))
     dist = spec.covariate_dist
     if isinstance(dist, Discrete):
         return np.array([np.atleast_1d(v) for v in dist.values], dtype=float)
@@ -133,9 +132,11 @@ def default_covariate_grid(spec, match=None):
     raise ValueError(f"no default grid for covariate distribution {dist!r}")
 
 
-def _c_eff(spec, tolerance_c):
-    # matching is exact when the covariate does not enter the treatment index
-    return 1e-9 if all(p == 0.0 for p in spec.pi) else tolerance_c
+def _nearest(p_rows, p):
+    """Index along the last (group) axis of ``p_rows`` of the attainable
+    propensity nearest to ``p``; ties go to the smaller value."""
+    d = np.abs(p_rows - p)
+    return np.argmin(np.where(d <= d.min(axis=-1, keepdims=True), p_rows, np.inf), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,6 @@ class _Family:
     empty-set member), ``j`` the matched support group at that row.
     """
 
-    name: str
     role: str  # "sup" or "inf"
     form: str  # "L1", "U0", "U1", "L0", "marg_L", "marg_U", "p_lo", "p_hi"
     t: np.ndarray
@@ -177,42 +177,34 @@ class BoundsStructure:
     values: dict = None
 
 
-def _match_nearest(p_grid_row, p):
-    """Nearest attainable value (ties: smaller), with its group index."""
-    d = np.abs(p_grid_row - p)
-    mask = d <= d.min() + 0.0
-    cand = np.where(mask, p_grid_row, np.inf)
-    j = int(np.argmin(cand))
-    return float(p_grid_row[j]), j
-
-
-def _build_families(prefix, grid_ok, pstar, jstar, sets):
-    """Flatten the nested sup/inf terms into four member families.
+def _build_families(grid_ok, pstar, jstar, sets, own_idx):
+    """Flatten the nested sup/inf terms into the two-layer (``sv_``) and
+    widest (``w_``) member families.
 
     ``grid_ok[t, g]`` marks admissible matches, ``pstar``/``jstar`` the
     matched propensity and its group index.  Every family carries a bare
-    member per outer propensity covering the empty-set convention.
+    member per outer propensity covering the empty-set convention.  The
+    widest families are the two-layer ones restricted to the own row
+    ``own_idx`` (x' = x).
     """
     # a leading column holds the bare member, so nonzero runs t-major,
     # bare member first, then ascending grid row
     lead = ((0, 0), (1, 0))
     j_ext = np.pad(jstar, lead, constant_values=-1)
     in_tie = (pstar > _TIE) & (pstar < 1.0 - _TIE)
-    fams = {}
-
-    def collect(form, role, member_set, conditional):
+    sv, widest = {}, {}
+    for form, role, member_set, conditional in (
+            ("L1", "sup", sets["x1p"], False), ("U0", "inf", sets["x0p"], True),
+            ("U1", "inf", sets["x1m"], True), ("L0", "sup", sets["x0m"], False)):
         keep = grid_ok & member_set[None, :]
         if conditional:
             keep &= in_tie
         t, col = np.nonzero(np.pad(keep, lead, constant_values=True))
-        fams[f"{prefix}{form}"] = _Family(
-            f"{prefix}{form}", role, form, t, col - 1, j_ext[t, col])
-
-    collect("L1", "sup", sets["x1p"], conditional=False)
-    collect("U0", "inf", sets["x0p"], conditional=True)
-    collect("U1", "inf", sets["x1m"], conditional=True)
-    collect("L0", "sup", sets["x0m"], conditional=False)
-    return fams
+        g, j = col - 1, j_ext[t, col]
+        own = (g < 0) | (g == own_idx)
+        sv["sv_" + form] = _Family(role, form, t, g, j)
+        widest["w_" + form] = _Family(role, form, t[own], g[own], j[own])
+    return {**sv, **widest}
 
 
 def _family_values(fam, own, grid, pos, gmass):
@@ -254,22 +246,28 @@ def _values(structure, own, grid, pos):
             for name, fam in structure.families.items()}
 
 
-def _solve(spec, x, ivset, match, include_sv=True):
+def _solve(spec, x, ivset, match, grid=None):
     """The engine's one pass at x: grouping, cells, CPS support, sign,
     matching and families, with the families' values at ``spec``.
 
-    Returns the structure, its ``values`` as name -> member array.  With
-    ``include_sv=False`` the covariate grid collapses to x, which is all
-    the benchmark and widest bounds use.  Raises RuntimeError when the
-    pairwise expectation contradicts a set membership.
+    ``grid`` holds the candidate covariate rows x' (a 1-D array is one
+    row; None is `default_covariate_grid`); x is appended when missing.
+    With ``grid=x`` the two-layer families are the widest ones.  Returns
+    the structure, its ``values`` as name -> member array.  Raises
+    RuntimeError when the pairwise expectation contradicts a set
+    membership.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if grid is not None:
+        grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        if grid.shape[1] != x.size:
+            raise ValueError("covariate grid dimension mismatch")
     partition = SupportPartition(spec, ivset)
     one = partition.spec_cells(spec, x)  # (1, T) cells: a batch of one
     p11o, p10o, pown = (c[0] for c in one)
     support = CpsSupport.merged(pown, partition.gmass)
     T = pown.size
-    fams = {form: _Family(form, role, form, np.arange(n), np.full(n, -1), np.full(n, -1))
+    fams = {form: _Family(role, form, np.arange(n), np.full(n, -1), np.full(n, -1))
             for form, role, n in (("marg_L", "sup", 1), ("marg_U", "inf", 1),
                                   ("p_lo", "inf", T), ("p_hi", "sup", T))}
     if support.degenerate:
@@ -277,9 +275,8 @@ def _solve(spec, x, ivset, match, include_sv=True):
         structure.values = {k: v[0] for k, v in _values(structure, one, None, None).items()}
         return structure
 
-    grid = default_covariate_grid(spec, match) if include_sv else x[None]
-    if grid.shape[1] != x.size:
-        raise ValueError("covariate grid dimension mismatch")
+    if grid is None:
+        grid = default_covariate_grid(spec)
     own_row = np.where(np.all(np.abs(grid - x) <= _TIE, axis=1))[0]
     if len(own_row) == 0:
         grid = np.vstack([grid, x])
@@ -297,11 +294,9 @@ def _solve(spec, x, ivset, match, include_sv=True):
     G = grid.shape[0]
     # nearest attainable propensity per (outer group t, grid row), over
     # the (T, G, T) distances; ties go to the smaller value
-    d = np.abs(p_grid[None] - pown[:, None, None])
-    cand = np.where(d <= d.min(axis=2, keepdims=True), p_grid[None], np.inf)
-    jstar = np.argmin(cand, axis=2)
+    jstar = _nearest(p_grid[None], pown[:, None, None])
     pstar = p_grid[np.arange(G), jstar]
-    grid_ok = np.abs(pstar - pown[:, None]) <= _c_eff(spec, match.tolerance_c)
+    grid_ok = np.abs(pstar - pown[:, None]) <= match.tolerance_c
 
     sets = {
         "x0p": v1g >= v0x - _TIE,
@@ -310,14 +305,7 @@ def _solve(spec, x, ivset, match, include_sv=True):
         "x1m": v1x <= v0g + _TIE,
     }
 
-    fams.update(_build_families("sv_", grid_ok, pstar, jstar, sets))
-    # widest bounds are the same families restricted to x' = x
-    own_only = np.zeros(G, dtype=bool)
-    own_only[own_idx] = True
-    fams.update(_build_families(
-        "w_", grid_ok & own_only[None, :], pstar, jstar,
-        {k: v & own_only for k, v in sets.items()},
-    ))
+    fams.update(_build_families(grid_ok, pstar, jstar, sets, own_idx))
 
     structure = BoundsStructure(x, grid, partition, None, support, fams)
     arrays = {
@@ -437,15 +425,15 @@ def report_columns(rep):
         rep.sv.lower, rep.sv.upper, rep.sign, rep.c1, rep.c2, rep.c3, rep.c4, rep.iip)))
 
 
-def assemble(steps, sign, include_sv=True):
+def assemble(steps, sign):
     """Benchmark, widest and two-layer intervals with C1-C4 and IIP.
 
     ``steps`` maps each family name to its member values (a point
     evaluation) or to its step value already taken (a corrected
     estimate): a sup step is the largest entry, an inf step the
     smallest.  ``sign`` None marks irrelevant instruments, where every
-    interval is the benchmark one.  Without ``include_sv`` the two-layer
-    interval is the widest one.  Returns the fields of a report as a dict.
+    interval is the benchmark one; at sign 0 the widest and two-layer
+    intervals are both [0, 0].  Returns the fields of a report as a dict.
     """
     def intersection(prefix):
         return Interval(
@@ -456,8 +444,10 @@ def assemble(steps, sign, include_sv=True):
     if sign is None:
         return dict(manski=manski, widest=manski, sv=manski,
                     c1=0.0, c2=0.0, c3=0.0, c4=manski.width, iip=0.0)
-    widest = Interval(0.0, 0.0) if sign == 0 else intersection("w_")
-    sv = intersection("sv_") if include_sv else widest
+    if sign == 0:
+        widest = sv = Interval(0.0, 0.0)
+    else:
+        widest, sv = intersection("w_"), intersection("sv_")
     c1 = (manski.upper if sign <= 0 else 0.0) - (manski.lower if sign >= 0 else 0.0)
     c2 = manski.width - widest.width - c1
     return dict(manski=manski, widest=widest, sv=sv,
@@ -470,18 +460,18 @@ def intervals_from_values(values, sign):
     return parts["manski"], parts["widest"], parts["sv"]
 
 
-def population_report(spec, x, ivset=None, match=None, include_sv=True):
+def population_report(spec, x, ivset=None, match=None, grid=None):
     """Full report at x: all bounds, decomposition, IIP, CPS range.
 
-    With ``include_sv=False`` the two-layer interval is the widest one
-    and the covariate grid is never built.
+    ``grid`` holds the candidate covariate rows x' (see `_solve`); with
+    ``grid=x`` the two-layer interval is the widest one.
     """
     ivset = ivset or identity_iv_set(spec.n_instruments)
     match = match or MatchConfig()
-    structure = _solve(spec, x, ivset, match, include_sv)
+    structure = _solve(spec, x, ivset, match, grid)
     return BoundsReport(
         x=tuple(structure.x), sign=structure.sign, irrelevant=structure.sign is None,
-        **assemble(structure.values, structure.sign, include_sv),
+        **assemble(structure.values, structure.sign),
         cps_lo=structure.support.p_lo, cps_hi=structure.support.p_hi,
         ate_model=true_ate(spec, structure.x),
     )
@@ -495,7 +485,7 @@ def _relevant(report):
 
 def manski_bounds(spec, x, ivset=None):
     """Bounds from the marginal cells alone; width is exactly one."""
-    return population_report(spec, x, ivset, include_sv=False).manski
+    return population_report(spec, x, ivset, grid=x).manski
 
 
 def identify_sign(spec, x, ivset=None):
@@ -504,7 +494,7 @@ def identify_sign(spec, x, ivset=None):
     Raises ValueError when the CPS support at x is a single point, in
     which case the instruments carry no identifying variation.
     """
-    return _relevant(population_report(spec, x, ivset, include_sv=False)).sign
+    return _relevant(population_report(spec, x, ivset, grid=x)).sign
 
 
 def widest_bounds(spec, x, ivset=None):
@@ -513,7 +503,7 @@ def widest_bounds(spec, x, ivset=None):
     These are the widest the two-layer bounds can be; their width depends
     on the instruments solely through the extreme propensities.
     """
-    return _relevant(population_report(spec, x, ivset, include_sv=False)).widest
+    return _relevant(population_report(spec, x, ivset, grid=x)).widest
 
 
 def sv_bounds(spec, x, ivset=None, match=None):
@@ -537,12 +527,11 @@ def h_func(spec, x, xprime, p, pprime, ivset=None, match=None):
     ivset = ivset or identity_iv_set(spec.n_instruments)
     match = match or MatchConfig()
     partition = SupportPartition(spec, ivset)
-    c_eff = _c_eff(spec, match.tolerance_c)
 
     def cells_at(point, prob):
         p11, p10, row = partition.spec_cells(spec, point)
-        pm, j = _match_nearest(row[0], prob)
-        if abs(pm - prob) > c_eff:
+        j = int(_nearest(row[0], prob))
+        if abs(float(row[0, j]) - prob) > match.tolerance_c:
             raise ValueError("probabilities not well defined: propensity "
                              f"{prob} unattainable at covariate point {point}")
         return float(p11[0, j]), float(p10[0, j])
@@ -554,14 +543,13 @@ def h_func(spec, x, xprime, p, pprime, ivset=None, match=None):
     return p11_hi - p11_lo - p10_lo + p10_hi
 
 
-def iip(spec, x, ivset=None, match=None):
+def iip(spec, x, ivset=None):
     """Instrument identification power at x: benchmark width minus the
     widest-bound width; zero when the instruments are irrelevant."""
-    rep = population_report(spec, x, ivset, match, include_sv=False)
-    return rep.iip
+    return population_report(spec, x, ivset, grid=x).iip
 
 
-def iip_average(spec, ivset=None, x_weights=None, match=None):
+def iip_average(spec, ivset=None, x_weights=None):
     """Weighted average of iip over x points.
 
     ``x_weights`` is a sequence of (x, weight) pairs whose weights sum to
@@ -581,7 +569,7 @@ def iip_average(spec, ivset=None, x_weights=None, match=None):
     wts = np.asarray([w for _, w in x_weights], dtype=float)
     if abs(wts.sum() - 1.0) > 1e-8:
         raise ValueError("weights must sum to 1")
-    vals = np.array([iip(spec, np.atleast_1d(p), ivset, match) for p, _ in x_weights])
+    vals = np.array([iip(spec, np.atleast_1d(p), ivset) for p, _ in x_weights])
     return float(np.dot(wts, vals))
 
 
@@ -589,15 +577,16 @@ def iip_average(spec, ivset=None, x_weights=None, match=None):
 # re-evaluation at new parameter values (used by estimation)
 # ---------------------------------------------------------------------------
 
-def build_structure(spec, x, ivset=None, match=None):
+def build_structure(spec, x, ivset=None, match=None, grid=None):
     """Fixed family structure for draw-based re-evaluation.
 
     Membership, matching and the ATE sign are frozen at ``spec``; the
-    sign is None when the CPS support at x is degenerate.  The
-    structure's ``values`` are the families evaluated at ``spec``.
+    sign is None when the CPS support at x is degenerate.  ``grid`` holds
+    the candidate covariate rows x' (see `_solve`).  The structure's
+    ``values`` are the families evaluated at ``spec``.
     """
     ivset = ivset or identity_iv_set(spec.n_instruments)
-    return _solve(spec, x, ivset, match or MatchConfig())
+    return _solve(spec, x, ivset, match or MatchConfig(), grid)
 
 
 def evaluate_draws(structure, alphas, betas, pis, gammas, rhos):

@@ -30,7 +30,7 @@ from .dgp import IvSet, spec_from_dict, spec_to_dict
 from .estimation import (
     GRID_LEVELS, Dataset, EstimatedReport, FitResult, HmueConfig,
     bootstrap_dispersion, estimated_report, fit_probit, fit_set,
-    read_dataset_csv, with_intercept,
+    quantile_grid, read_dataset_csv, with_intercept,
 )
 from .gaussian import norm_ppf
 from .simulation import (
@@ -420,7 +420,7 @@ def cmd_estimate(args):
     for ivset in iv_sets:
         for x in points:
             rep = estimated_report(data, ivset, x, match, hmue,
-                                   include_sv=not args.no_sv)
+                                   grid=x if args.no_sv else None)
             reports.append(rep)
             _echo_report(rep, f"{ivset.name} x={','.join(repr(float(v)) for v in x)}")
     write_csv(os.path.join(out, "estimate.csv"),
@@ -453,12 +453,10 @@ def cmd_rank_ivs(args):
     stats = {}
     widths = {}
     for si, ivset in enumerate(iv_sets):
-        rep = estimated_report(data, ivset, x, match,
-                               _hmue_config(args, seed), include_sv=False)
+        rep = estimated_report(data, ivset, x, match, _hmue_config(args, seed), grid=x)
         boot_seed = int(np.random.SeedSequence(
             entropy=seed, spawn_key=(7, si)).generate_state(1, np.uint64)[0])
-        boot = bootstrap_dispersion(data, ivset, x, n_boot=n_boot,
-                                    seed=boot_seed, match=match)
+        boot = bootstrap_dispersion(data, ivset, x, n_boot=n_boot, seed=boot_seed)
         sd = boot.sd
         half = z975 * sd if np.isfinite(sd) else math.inf
         # identification power is discontinuous at irrelevance (it drops
@@ -547,27 +545,26 @@ def empirical_curves(data, iv_sets, match, bandwidth=None):
     identical across instrument sets.
     """
     stage1, xp = propensity_index(data)
-    grid = np.unique(np.quantile(xp, GRID_LEVELS))
+    grid_aug = quantile_grid(xp)
+    grid = grid_aug[:, 1]
     if grid.size < 2:
         raise DataError("propensity index is degenerate")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(xp)
     weights = kernel_weights(xp, grid, bandwidth)
-    grid_aug = with_intercept(grid[:, None])
 
     agree = (data.y == data.d).astype(float)
     afit = fit_probit(agree, with_intercept(xp[:, None]), ("const", "x1"))
     pr_agree = ndtr(afit.params[0] + afit.params[1] * grid)
 
     index_data = Dataset(y=data.y, d=data.d, x=xp[:, None], z=data.z)
-    match_hat = MatchConfig(match.tolerance_c, grid_aug)
     curves = []
     fits = {}
     for ivset in iv_sets:
         fit, spec_hat, iv_id = fit_set(index_data, ivset)
         fits[ivset.name] = fit
         for j, g in enumerate(grid):
-            rep = population_report(spec_hat, grid_aug[j], iv_id, match_hat)
+            rep = population_report(spec_hat, grid_aug[j], iv_id, match, grid=grid_aug)
             row = report_columns(rep)
             lo, up = pr_agree[j] - 1.0, pr_agree[j]
             if rep.irrelevant:
@@ -641,7 +638,8 @@ def _build_parser():
     common.add_argument("--out", help="output directory (default: current)")
     common.add_argument("--seed", type=int, help="RNG seed (default 0)")
     common.add_argument("--tolerance-c", type=float, dest="tolerance_c",
-                        help="propensity matching tolerance (default 0.01)")
+                        help="propensity matching tolerance, finite and >= 0 "
+                             "(default 0.01)")
     common.add_argument("--levels", help="correction levels, e.g. 0.5,0.9,0.95")
 
     parser = argparse.ArgumentParser(

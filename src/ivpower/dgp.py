@@ -161,14 +161,6 @@ class IvSet:
             raise ValueError("unknown recode tag")
         object.__setattr__(self, "recode", recode)
 
-    def transform(self, z):
-        """Map a raw instrument vector to the used-instrument tuple."""
-        out = []
-        for idx, tag in zip(self.use, self.recode):
-            v = z[idx]
-            out.append(float(v > 0) if tag == "gt0" else float(v))
-        return tuple(out)
-
     def columns(self, z_matrix):
         """Design-matrix columns (n, len(use)) from raw draws (n, m)."""
         cols = []
@@ -303,7 +295,8 @@ class SupportPartition:
         self.z_raw = np.array([z for z, _ in pts], dtype=float)
         mass = np.array([m for _, m in pts], dtype=float)
         keys = {}
-        group = [keys.setdefault(ivset.transform(z), len(keys)) for z, _ in pts]
+        group = [keys.setdefault(tuple(row), len(keys))
+                 for row in ivset.columns(self.z_raw).tolist()]
         member = np.zeros((len(pts), len(keys)))
         member[np.arange(len(pts)), group] = 1.0
         self.gmass = mass @ member

@@ -10,7 +10,7 @@ columns and maps the fit to a plug-in `DgpSpec` whose covariate row is
 (1, x) (`with_intercept`), so the intercepts ride along as a constant
 covariate; `unpack_params` is the one reading of the parameter layout, for
 the estimate and for parameter draws alike.  The two-layer bounds use the
-1%-99% quantile grid (`GRID_LEVELS`) of the covariate.  The bound engine in
+1%-99% quantile grid of the covariate (`quantile_grid`).  The bound engine in
 `bounds` evaluates the plug-in families at the estimate and at draws from
 its asymptotic normal, and `_corrected_steps` shifts every sup/inf step
 outward to its half-median-unbiased value, with the family memberships and
@@ -28,7 +28,6 @@ from scipy.special import log_ndtr, ndtr
 
 from .bounds import (
     Interval,
-    MatchConfig,
     assemble,
     ate_signs,
     build_structure,
@@ -47,6 +46,7 @@ __all__ = [
     "read_dataset_csv",
     "write_dataset_csv",
     "GRID_LEVELS",
+    "quantile_grid",
     "with_intercept",
     "fit_probit",
     "fit_bivariate_probit",
@@ -541,21 +541,13 @@ def _intervals(parts):
     return {k: parts[k] for k in ("manski", "widest", "sv")}
 
 
-def _estimation_grid(data, x_eval, match, include_sv):
-    if match.covariate_grid is not None:
-        raw = np.atleast_2d(np.asarray(match.covariate_grid, dtype=float))
-    elif not include_sv or data.n_covariates == 0:
-        raw = x_eval[None, :]
-    elif data.n_covariates == 1:
-        raw = np.unique(np.quantile(data.x[:, 0], GRID_LEVELS))[:, None]
-    else:
-        raise ValueError("an explicit covariate grid is required "
-                         "with more than one covariate")
-    return with_intercept(raw)
+def quantile_grid(x):
+    """The 1%-99% sample-quantile grid (`GRID_LEVELS`) of one covariate
+    column, as plug-in rows (1, x')."""
+    return with_intercept(np.unique(np.quantile(x, GRID_LEVELS))[:, None])
 
 
-def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None,
-                     include_sv=True):
+def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None, grid=None):
     """Fit, plug in, and correct the bounds at covariate value ``x_eval``.
 
     Every sup/inf step is re-evaluated at ``hmue.n_sim`` draws from the
@@ -567,14 +559,14 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None,
     benchmark width by construction.  Family memberships, matching, and
     the ATE sign stay frozen at the point estimate.
 
-    With ``include_sv=False`` the covariate grid collapses to the
-    evaluation point, which is enough for the benchmark and widest
-    quantities (the two-layer interval then equals the widest one).
+    ``grid`` holds the candidate covariate rows x' in the data's
+    covariate space; None is the `quantile_grid` of a single covariate.
+    With ``grid=x_eval`` only the benchmark and widest quantities are
+    computed (the two-layer interval then equals the widest one).
     Degenerate fitted CPS support is reported as irrelevant instruments
     with the plug-in benchmark at every level and no corrections.
     """
     ivset = ivset or identity_iv_set(data.n_instruments)
-    match = match or MatchConfig()
     hmue = hmue or HmueConfig()
     x_eval = np.atleast_1d(np.asarray(x_eval, dtype=float))
     if x_eval.size != data.n_covariates:
@@ -582,11 +574,19 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None,
 
     fit, spec_hat, iv_id = fit_set(data, ivset)
     x_aug = with_intercept(x_eval)
-    grid = _estimation_grid(data, x_eval, match, include_sv)
-    structure = build_structure(spec_hat, x_aug, iv_id, MatchConfig(match.tolerance_c, grid))
+    if grid is not None:
+        grid = with_intercept(np.atleast_2d(np.asarray(grid, dtype=float)))
+    elif data.n_covariates == 0:
+        grid = x_aug
+    elif data.n_covariates == 1:
+        grid = quantile_grid(data.x[:, 0])
+    else:
+        raise ValueError("an explicit covariate grid is required "
+                         "with more than one covariate")
+    structure = build_structure(spec_hat, x_aug, iv_id, match, grid)
     sign = structure.sign
     point_vals = structure.values
-    point = assemble(point_vals, sign, include_sv)
+    point = assemble(point_vals, sign)
     common = dict(
         x=tuple(x_eval), sign=sign, irrelevant=sign is None,
         cps_lo=structure.support.p_lo, cps_hi=structure.support.p_hi,
@@ -607,9 +607,9 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None,
 
     quantiles = sorted({_step_quantile(q) for q in hmue.levels} | {0.5})
     steps = _corrected_steps(structure, point_vals, fam_draws, quantiles)
-    levels = {q: _intervals(assemble(steps[_step_quantile(q)], sign, include_sv))
+    levels = {q: _intervals(assemble(steps[_step_quantile(q)], sign))
               for q in hmue.levels}
-    return EstimatedReport(**common, **assemble(steps[0.5], sign, include_sv),
+    return EstimatedReport(**common, **assemble(steps[0.5], sign),
                            levels=levels, flip_rate=flip_rate)
 
 
@@ -649,8 +649,7 @@ class BootstrapResult:
         return float(np.std(self.estimates, ddof=1))
 
 
-def bootstrap_dispersion(data, ivset=None, x_eval=(), n_boot=200, seed=0,
-                         match=None):
+def bootstrap_dispersion(data, ivset=None, x_eval=(), n_boot=200, seed=0):
     """Bootstrap spread of the plug-in identification-power estimate.
 
     Each replicate refits on rows resampled with replacement and records
@@ -660,7 +659,6 @@ def bootstrap_dispersion(data, ivset=None, x_eval=(), n_boot=200, seed=0,
     if n_boot < 50:
         raise ValueError("at least 50 bootstrap replicates are required")
     ivset = ivset or identity_iv_set(data.n_instruments)
-    match = match or MatchConfig()
     x_aug = with_intercept(np.atleast_1d(np.asarray(x_eval, dtype=float)))
     estimates = []
     n_failed = 0
@@ -670,7 +668,7 @@ def bootstrap_dispersion(data, ivset=None, x_eval=(), n_boot=200, seed=0,
         try:
             _, spec_hat, iv_id = fit_set(rep, ivset)
             estimates.append(
-                population_report(spec_hat, x_aug, iv_id, match, include_sv=False).iip)
+                population_report(spec_hat, x_aug, iv_id, grid=x_aug).iip)
         except (RuntimeError, ValueError):
             n_failed += 1
     return BootstrapResult(estimates=np.asarray(estimates, dtype=float),

@@ -225,8 +225,8 @@ def mc_replicate(design, n_index, replicate, iv_index):
     data = generate_sample(design.spec, n,
                            _sample_stream(design.seed, n_index, replicate))
     hm = replace(design.hmue, seed=_hmue_seed(design.seed, n_index, replicate, iv_index))
-    return estimated_report(data, design.iv_sets[iv_index], design.x_eval,
-                            design.match, hm, include_sv=design.record_sv)
+    return estimated_report(data, design.iv_sets[iv_index], design.x_eval, design.match, hm,
+                            grid=None if design.record_sv else design.x_eval)
 
 
 def run_monte_carlo(design, workers=1):

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def random_micro_case(rng, i):
 
 def assert_report_matches_oracle(spec, x, ivset, match, tol=1e-9):
     rep = population_report(spec, x, ivset, match)
-    grid = [g for g in default_covariate_grid(spec, match)]
+    grid = [g for g in default_covariate_grid(spec)]
     orc = oracle_report(spec, x, ivset, grid, tolerance_c=match.tolerance_c)
     assert rep.irrelevant == orc["irrelevant"]
     assert rep.sign == orc["sign"]
@@ -182,13 +183,15 @@ def test_population_report_irrelevant_instruments():
     assert rep.c4 == pytest.approx(rep.manski.width, abs=1e-12)
     assert rep.widest == rep.manski == rep.sv
     assert iip(spec, X0, standard_iv_sets()[3]) == 0.0
+    with pytest.raises(ValueError, match="dimension"):
+        population_report(spec, X0, grid=[[0.0, 1.0]])
 
 
 def test_perfect_prediction_gives_full_power():
     spec = DgpSpec(alpha=1.0, beta=1.0, pi=0.0, gamma=(40.0,), rho=0.5,
                    covariate_dist=Normal(0.0, 1.0),
                    iv_dists=(Discrete((-1.0, 1.0), (0.5, 0.5)),))
-    rep = population_report(spec, X0, include_sv=False)
+    rep = population_report(spec, X0, grid=X0)
     assert rep.cps_lo < 1e-12 and rep.cps_hi > 1.0 - 1e-12
     assert rep.widest.width == pytest.approx(0.0, abs=1e-12)
     assert rep.iip == pytest.approx(1.0, abs=1e-12)
@@ -216,14 +219,14 @@ def test_h_func_nonnegative_on_shared_point():
 
 def test_default_covariate_grid():
     spec = model3_spec(rho=0.5)
-    grid = default_covariate_grid(spec, MatchConfig())
+    grid = default_covariate_grid(spec)
     assert grid.shape == (801, 1)
     assert grid[0, 0] == pytest.approx(-4.0, abs=1e-12)
     assert grid[-1, 0] == pytest.approx(4.0, abs=1e-12)
     steps = np.diff(grid[:, 0])
     np.testing.assert_allclose(steps, 0.01, atol=1e-12)
     disc = model3_spec(rho=0.5, covariate="bernoulli")
-    np.testing.assert_allclose(default_covariate_grid(disc, MatchConfig()),
+    np.testing.assert_allclose(default_covariate_grid(disc),
                                [[0.0], [1.0]], atol=0)
 
 
@@ -285,20 +288,48 @@ def test_zero_treatment_effect_sign():
     spec = DgpSpec(alpha=0.0, beta=0.7, pi=0.2, gamma=(0.8,), rho=0.3,
                    covariate_dist=Discrete((-0.5, 0.5), (0.5, 0.5)),
                    iv_dists=(Discrete((-1.0, 1.0), (0.4, 0.6)),))
-    x = np.array([0.5])
-    assert identify_sign(spec, x) == 0
-    w = widest_bounds(spec, x)
-    assert (w.lower, w.upper) == (0.0, 0.0)
-    s = sv_bounds(spec, x)
-    assert s.lower <= 1e-12 and s.upper >= -1e-12
-    rep = population_report(spec, x)
-    assert rep.iip == pytest.approx(1.0, abs=1e-12)
+    # at rho 0.97, x = -2 the model-3 two-layer members once gave a
+    # nonzero interval under a sign of 0, so C3 came out negative
+    cases = ((spec, np.array([0.5]), None),
+             (model3_spec(rho=0.97, covariate="normal"), np.array([-2.0]), IvSet("z1", use=(0,))))
+    for spec, x, ivset in cases:
+        assert identify_sign(spec, x, ivset) == 0
+        w = widest_bounds(spec, x, ivset)
+        assert (w.lower, w.upper) == (0.0, 0.0)
+        s = sv_bounds(spec, x, ivset)
+        assert (s.lower, s.upper) == (0.0, 0.0)
+        rep = population_report(spec, x, ivset)
+        assert rep.iip == pytest.approx(1.0, abs=1e-12)
+        assert rep.c3 == rep.c4 == 0.0
+
+
+@pytest.mark.parametrize("spec, ivsets", [
+    (model2_spec(gamma=1.0, rho=0.5), (None,)),
+    (model3_spec(rho=0.5, covariate="normal"), standard_iv_sets()),
+    (model3_spec(rho=-0.5, covariate="bernoulli"), standard_iv_sets()),
+], ids=["model2", "model3-normal", "model3-bernoulli"])
+def test_grid_at_x_gives_the_widest_only_report(spec, ivsets):
+    # the widest bounds are the two-layer bounds over {x}
+    for ivset in ivsets:
+        for x in (-1.0, 0.0, 1.0):
+            x = np.array([x])
+            rep = population_report(spec, x, ivset, grid=x)
+            assert rep.sv == rep.widest
+            assert rep.c3 == 0.0 and rep.c4 == rep.widest.width
+            full = population_report(spec, x, ivset)
+            assert rep.sign == full.sign
+            np.testing.assert_allclose([rep.widest.lower, rep.widest.upper],
+                                       [full.widest.lower, full.widest.upper], atol=1e-12)
 
 
 def test_match_config_defaults():
     match = MatchConfig()
     assert match.tolerance_c == 0.01
-    assert match.covariate_grid is None
+    assert [f.name for f in fields(MatchConfig)] == ["tolerance_c"]
+    assert MatchConfig(0.0).tolerance_c == 0.0
+    for bad in (-1.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance_c"):
+            MatchConfig(bad)
 
 
 # ---------------------------------------------------------------------------

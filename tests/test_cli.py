@@ -240,6 +240,16 @@ def test_rho_at_one_exits_2(tmp_path, capsys):
     assert "rho" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_bad_matching_tolerance_exits_2(tmp_path, spec_path, tolerance, capsys):
+    # a negative or NaN tolerance stops the own row from matching; an
+    # infinite one admits every row and can invert the two-layer interval
+    assert main(["dgp-bounds", "--spec", spec_path, "--iv-set", "z12:1,2", "--x", "0",
+                 f"--tolerance-c={tolerance}", "--out", str(tmp_path)]) == 2
+    assert "tolerance_c" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.csv").exists()
+
+
 @pytest.mark.parametrize("rho", [0.99999999999, -0.99999999999])
 def test_rho_inside_the_kernel_clamp_gives_nested_bounds(tmp_path, rho):
     # |rho| within 1e-10 of 1, where the kernel's high-|rho| branch holds

@@ -110,8 +110,8 @@ def test_iv_support_product_order_and_mass():
 
 def test_iv_set_transform_and_columns():
     s = IvSet("s", use=(0, 2), recode=("raw", "gt0"))
-    assert s.transform((5.0, 9.0, -0.3)) == (5.0, 0.0)
-    assert s.transform((5.0, 9.0, 0.3)) == (5.0, 1.0)
+    np.testing.assert_array_equal(s.columns(np.array([[5.0, 9.0, -0.3]])), [[5.0, 0.0]])
+    np.testing.assert_array_equal(s.columns(np.array([[5.0, 9.0, 0.3]])), [[5.0, 1.0]])
     zm = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, -6.0]])
     np.testing.assert_array_equal(s.columns(zm), [[1.0, 1.0], [4.0, 0.0]])
     assert identity_iv_set(3).use == (0, 1, 2)

@@ -260,7 +260,7 @@ def test_estimated_report_checks_x_dimension():
 def test_widest_only_mode_skips_covariate_layer():
     data = _sample(1500, seed=8)
     rep = estimated_report(data, standard_iv_sets()[3], (0.0,),
-                           hmue=HmueConfig(n_sim=150, seed=2), include_sv=False)
+                           hmue=HmueConfig(n_sim=150, seed=2), grid=(0.0,))
     assert rep.sv == rep.widest
     assert rep.point_sv == rep.point_widest
     assert rep.c3 == pytest.approx(0.0, abs=1e-12)

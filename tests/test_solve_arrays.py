@@ -102,7 +102,7 @@ def loop_grid_stage(spec, x, ivset):
     p11o, p10o, pown = (c[0] for c in partition.spec_cells(spec, x))
     p11G, p10G, p_grid = partition.spec_cells(spec, grid)
     pstar, jstar = loop_match(p_grid, pown)
-    grid_ok = np.abs(pstar - pown[:, None]) <= bounds._c_eff(spec, match.tolerance_c)
+    grid_ok = np.abs(pstar - pown[:, None]) <= match.tolerance_c
     beta = np.asarray(spec.beta)
     v1x, v0x = spec.alpha + float(np.dot(beta, x)), float(np.dot(beta, x))
     v1g, v0g = spec.alpha + grid @ beta, grid @ beta
