@@ -26,7 +26,14 @@ Every quantity comes out of one bound engine, in five steps:
    every sup/inf bounding step into a family of member values
    (`BoundsStructure`), with the CPS support and the ATE sign; the
    matching, the family construction and the pairwise sign check are
-   array operations over the T own-support groups and G grid rows;
+   array operations over the T own-support groups and G grid rows.
+   Endpoint rows: where pi'x' is the same on every grid row, each
+   member is an own-point term plus a nonnegative multiple of a matched
+   cell that increases in beta'x', and the sign check's forward
+   (reverse) contrast increases (decreases) in beta'x'; so the solve
+   keeps, per pattern of set flags and strict latent signs, the rows of
+   lowest and highest beta'x' plus x, and every sup, inf and check
+   violation of the full grid is among them;
 4. evaluation: `_family_values` holds the member formulas; it evaluates
    the families on the solve's own cells (population values) and, in
    `evaluate_draws`, at R parameter draws with the structure frozen (a
@@ -189,8 +196,8 @@ def _build_families(grid_ok, pstar, jstar, sets, own_idx):
     """
     # a leading column holds the bare member, so nonzero runs t-major,
     # bare member first, then ascending grid row
-    lead = ((0, 0), (1, 0))
-    j_ext = np.pad(jstar, lead, constant_values=-1)
+    bare = np.ones((jstar.shape[0], 1), dtype=bool)
+    j_ext = np.hstack([np.full(bare.shape, -1), jstar])
     in_tie = (pstar > _TIE) & (pstar < 1.0 - _TIE)
     sv, widest = {}, {}
     for form, role, member_set, conditional in (
@@ -199,7 +206,7 @@ def _build_families(grid_ok, pstar, jstar, sets, own_idx):
         keep = grid_ok & member_set[None, :]
         if conditional:
             keep &= in_tie
-        t, col = np.nonzero(np.pad(keep, lead, constant_values=True))
+        t, col = np.nonzero(np.hstack([bare, keep]))
         g, j = col - 1, j_ext[t, col]
         own = (g < 0) | (g == own_idx)
         sv["sv_" + form] = _Family(role, form, t, g, j)
@@ -251,11 +258,12 @@ def _solve(spec, x, ivset, match, grid=None):
     matching and families, with the families' values at ``spec``.
 
     ``grid`` holds the candidate covariate rows x' (a 1-D array is one
-    row; None is `default_covariate_grid`); x is appended when missing.
-    With ``grid=x`` the two-layer families are the widest ones.  Returns
-    the structure, its ``values`` as name -> member array.  Raises
-    RuntimeError when the pairwise expectation contradicts a set
-    membership.
+    row; None is `default_covariate_grid`); x is appended when missing,
+    and where pi'x' is constant over the rows only the endpoint rows stay
+    in ``structure.grid``.  With ``grid=x`` the two-layer families are
+    the widest ones.  Returns the structure, its ``values`` as name ->
+    member array.  Raises RuntimeError when the pairwise expectation
+    contradicts a set membership.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if grid is not None:
@@ -289,6 +297,25 @@ def _solve(spec, x, ivset, match, grid=None):
     v0x = float(np.dot(beta, x))
     v1g = spec.alpha + grid @ beta
     v0g = grid @ beta
+    sets = {
+        "x0p": v1g >= v0x - _TIE,
+        "x0m": v1g <= v0x + _TIE,
+        "x1p": v1x >= v0g - _TIE,
+        "x1m": v1x <= v0g + _TIE,
+    }
+    if grid.shape[0] > 1 and np.ptp(np.array([spec.pi]) @ grid.T) == 0.0:
+        # endpoint rows (module docstring): per pattern of set flags and
+        # strict latent signs, the lowest and highest beta'x' and x; a
+        # one-row grid (the widest-only report) has none to drop
+        signs = [s for gap in (v1g - v0x, v1x - v0g) for s in (gap < -_TIE, gap > _TIE)]
+        flags = np.column_stack([*sets.values(), *signs])
+        pattern = flags @ (1 << np.arange(flags.shape[1]))
+        order = np.lexsort((v0g, pattern))
+        cut = np.flatnonzero(np.diff(pattern[order])) + 1
+        keep = np.unique(np.r_[order[np.r_[0, cut]], order[np.r_[cut - 1, -1]], own_idx])
+        grid, v1g, v0g = grid[keep], v1g[keep], v0g[keep]
+        sets = {name: member[keep] for name, member in sets.items()}
+        own_idx = int(np.searchsorted(keep, own_idx))
 
     p11G, p10G, p_grid = partition.spec_cells(spec, grid)  # all (G, T)
     G = grid.shape[0]
@@ -297,13 +324,6 @@ def _solve(spec, x, ivset, match, grid=None):
     jstar = _nearest(p_grid[None], pown[:, None, None])
     pstar = p_grid[np.arange(G), jstar]
     grid_ok = np.abs(pstar - pown[:, None]) <= match.tolerance_c
-
-    sets = {
-        "x0p": v1g >= v0x - _TIE,
-        "x0m": v1g <= v0x + _TIE,
-        "x1p": v1x >= v0g - _TIE,
-        "x1m": v1x <= v0g + _TIE,
-    }
 
     fams.update(_build_families(grid_ok, pstar, jstar, sets, own_idx))
 

@@ -243,6 +243,8 @@ def _parse_points(texts, k):
             raise ConfigError(
                 f"evaluation point {text!r} has {len(point)} coordinates, "
                 f"the model has {k} covariates")
+        if not all(math.isfinite(v) for v in point):
+            raise ConfigError(f"evaluation point {text!r} is not finite")
         points.append(point)
     return points
 
@@ -356,6 +358,8 @@ def cmd_surface(args):
     gammas = _parse_values(_opt(args, "gamma", "-4:0.2:4"))
     rhos = _parse_values(_opt(args, "rho", "-0.99:0.05:0.99"))
     betas = _parse_values(_opt(args, "beta", "0.05,0.25,0.45"))
+    if len(args.x or ()) > 1:
+        raise ConfigError("surface takes one evaluation point: give --x once")
     x = _parse_points(args.x, 1)[0]
     out = _out_dir(args)
 

@@ -120,6 +120,8 @@ class DgpSpec:
         object.__setattr__(self, "gamma", tuple(float(g) for g in np.atleast_1d(self.gamma)))
         if len(self.beta) != len(self.pi):
             raise ValueError("beta and pi must have the same covariate dimension")
+        if not np.all(np.isfinite([self.alpha, *self.beta, *self.pi, *self.gamma])):
+            raise ValueError("alpha, beta, pi and gamma must be finite")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
         if isinstance(self.iv_dists, JointDiscrete):

@@ -1,18 +1,21 @@
+import itertools
 import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from ivpower import bounds
 from ivpower.bounds import (Interval, MatchConfig, build_structure,
                             default_covariate_grid, evaluate_structure,
                             h_func, identify_sign, iip, iip_average,
                             intervals_from_values, manski_bounds,
                             population_report, sv_bounds, widest_bounds)
 from ivpower.dgp import (DgpSpec, Discrete, IvSet, JointDiscrete, Normal,
-                         cps_support, true_ate)
+                         cps_support, identity_iv_set, true_ate)
 from ivpower.simulation import model2_spec, model3_spec, standard_iv_sets
 from oracle_sv import oracle_report
+from test_solve_arrays import loop_grid_stage
 
 X0 = np.array([0.0])
 
@@ -112,6 +115,29 @@ def test_model3_reports_match_reference_enumerator():
         spec = model3_spec(rho=rho, covariate=cov)
         for ivset in (standard_iv_sets()[0], standard_iv_sets()[3]):
             assert_report_matches_oracle(spec, X0, ivset, MatchConfig())
+
+
+def test_model2_endpoint_rows_match_the_full_lattice():
+    # with pi = 0 the solve keeps a few endpoint rows of the 801-row
+    # lattice; the oracle enumerates every row, and the sign check built
+    # on the whole lattice must find nothing the endpoint rows could hide.
+    # beta 0.25, alpha 1, x = 0 puts a zero forward gap at x' = -4;
+    # x = 0.005 is off the lattice
+    match = MatchConfig()
+    ivset = identity_iv_set(1)
+    for beta, alpha, (gamma, rho), x in itertools.product(
+            (-0.3, 0.0, 0.25), (1.0, -1.0),
+            ((1.0, 0.5), (0.0, 0.5), (-2.0, -0.95), (1.0, 0.97)), (0.0, 0.005, -1.0)):
+        spec = replace(model2_spec(beta=beta, gamma=gamma, rho=rho), alpha=alpha)
+        x = np.array([x])
+        assert_report_matches_oracle(spec, x, ivset, match, tol=1e-12)
+        lattice = default_covariate_grid(spec)
+        if not np.any(np.all(np.abs(lattice - x) <= 1e-12, axis=1)):
+            lattice = np.vstack([lattice, x])
+        structure, _, arrays = loop_grid_stage(spec, x, ivset, lattice)
+        if arrays is not None:
+            assert structure.grid.shape[0] <= 7
+            assert bounds._h_sign_check(structure, arrays) == []
 
 
 @pytest.mark.parametrize("cov,rho", list(_TRUE_ROWS))

@@ -227,16 +227,16 @@ def test_config_errors_exit_2(tmp_path, spec_path, capsys):
     assert exc.value.code == 2
 
 
-def _spec_with_rho(tmp_path, rho):
-    doc = spec_to_dict(model2_spec())
-    doc["rho"] = rho
-    path = tmp_path / f"rho_{rho}.json"
+def _model2_spec_file(tmp_path, **fields):
+    """A model-2 spec document with ``fields`` overridden."""
+    doc = dict(spec_to_dict(model2_spec()), **fields)
+    path = tmp_path / "model2.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
 
 def test_rho_at_one_exits_2(tmp_path, capsys):
-    assert main(["dgp-bounds", "--spec", _spec_with_rho(tmp_path, 1.0)]) == 2
+    assert main(["dgp-bounds", "--spec", _model2_spec_file(tmp_path, rho=1.0)]) == 2
     assert "rho" in capsys.readouterr().err
 
 
@@ -254,7 +254,7 @@ def test_bad_matching_tolerance_exits_2(tmp_path, spec_path, tolerance, capsys):
 def test_rho_inside_the_kernel_clamp_gives_nested_bounds(tmp_path, rho):
     # |rho| within 1e-10 of 1, where the kernel's high-|rho| branch holds
     out = tmp_path / "out"
-    assert main(["dgp-bounds", "--spec", _spec_with_rho(tmp_path, rho),
+    assert main(["dgp-bounds", "--spec", _model2_spec_file(tmp_path, rho=rho),
                  "--x", "0", "--x", "1", "--out", str(out)]) == 0
     rows = (out / "bounds.csv").read_text().splitlines()[1:]
     assert len(rows) == 2
@@ -352,6 +352,41 @@ def test_surface_command(tmp_path):
 
 def test_surface_rejects_multi_instrument_template(tmp_path, spec_path):
     assert main(["surface", "--spec", spec_path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("surface", ["--gamma=nan"]),
+    ("surface", ["--beta=nan"]),
+    ("surface", ["--beta=inf"]),
+    ("surface", ["--x=nan"]),
+    ("dgp-bounds", ["--x=inf"]),
+    ("dgp-bounds", ["--x=-inf"]),
+])
+def test_non_finite_model_inputs_exit_2(tmp_path, command, flags, capsys):
+    # these wrote NaN bounds and a garbage sign, and exited 0
+    out = tmp_path / "out"
+    assert main([command, "--spec", _model2_spec_file(tmp_path), *flags,
+                 "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("beta", [math.inf]), ("pi", [-math.inf]), ("gamma", [math.nan])])
+def test_non_finite_spec_file_exits_2(tmp_path, field, value, capsys):
+    spec = _model2_spec_file(tmp_path, **{field: value})
+    assert main(["dgp-bounds", "--spec", spec, "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "bounds.csv").exists()
+
+
+def test_surface_takes_one_evaluation_point(tmp_path, capsys):
+    # a second --x was dropped without a word
+    out = tmp_path / "out"
+    assert main(["surface", "--spec", _model2_spec_file(tmp_path), "--x=0", "--x=1",
+                 "--gamma", "1", "--rho", "0.5", "--beta", "0.25", "--out", str(out)]) == 2
+    assert "--x" in capsys.readouterr().err
+    assert not (out / "surface.csv").exists()
 
 
 def test_rank_ivs_command(tmp_path, data_path):

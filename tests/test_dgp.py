@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         DgpSpec(alpha=1.0, beta=1.0, pi=0.0, gamma=(1.0, 2.0), rho=0.5,
                 covariate_dist=cov, iv_dists=iv)
+    for field in ("alpha", "beta", "pi", "gamma"):
+        for bad in (math.nan, math.inf, -math.inf):
+            kwargs = dict(dict(alpha=1.0, beta=1.0, pi=0.0, gamma=1.0), **{field: bad})
+            with pytest.raises(ValueError, match="finite"):
+                DgpSpec(rho=0.5, covariate_dist=cov, iv_dists=iv, **kwargs)
 
 
 def test_latent_indices():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ivpower import bounds
-from ivpower.bounds import MatchConfig, build_structure
+from ivpower.bounds import MatchConfig, build_structure, default_covariate_grid
 from ivpower.dgp import _TIE, identity_iv_set
 from ivpower.simulation import model2_spec, model3_spec, standard_iv_sets
 
@@ -91,14 +91,16 @@ def loop_h_sign_check(structure, arrays):
     return mism
 
 
-def loop_grid_stage(spec, x, ivset):
+def loop_grid_stage(spec, x, ivset, grid=None):
     """A solved structure, with the loop families and the check's arrays
-    rebuilt from its grid and partition."""
+    rebuilt from its partition on ``grid`` (rows holding x; None is the
+    structure's own grid)."""
     match = MatchConfig()
     structure = build_structure(spec, x, ivset, match)
     if structure.sign is None:
         return structure, None, None
-    grid, partition = structure.grid, structure.partition
+    partition = structure.partition
+    grid = structure.grid if grid is None else grid
     p11o, p10o, pown = (c[0] for c in partition.spec_cells(spec, x))
     p11G, p10G, p_grid = partition.spec_cells(spec, grid)
     pstar, jstar = loop_match(p_grid, pown)
@@ -157,20 +159,23 @@ def _flip_latent(arrays):
     return dict(arrays, **{k: -np.asarray(arrays[k]) for k in ("v1g", "v0g", "v1x", "v0x")})
 
 
-@pytest.mark.parametrize("spec, x, want_rows", [
+_MODEL2 = model2_spec(beta=0.25, gamma=1.0, rho=0.5)
+
+
+@pytest.mark.parametrize("spec, x, grid, want_rows", [
     # Bernoulli covariate, grid {0, 1}, x = 0, latent gaps v1g - v0x = 1 + g
     # and v1x - v0g = 1 - g: the forward contrast fails at both rows, the
     # reverse one only at row 0, where its gap is not zero
-    (model3_spec(rho=0.5, covariate="bernoulli"), 0.0, [0, 0, 1]),
-    # model 2 on the 801-row lattice (x = 0 is row 400): the forward gap
-    # 1 + 0.25 x' is zero only at x' = -4 (row 0), the reverse gap
-    # 1 - 0.25 x' only at x' = 4 (row 800)
-    (model2_spec(beta=0.25, gamma=1.0, rho=0.5), 0.0,
+    (model3_spec(rho=0.5, covariate="bernoulli"), 0.0, None, [0, 0, 1]),
+    # model 2 on the full 801-row lattice (x = 0 is row 400), not the
+    # solve's endpoint rows: the forward gap 1 + 0.25 x' is zero only at
+    # x' = -4 (row 0), the reverse gap 1 - 0.25 x' only at x' = 4 (row 800)
+    (_MODEL2, 0.0, default_covariate_grid(_MODEL2),
      [0] + [g for g in range(1, 800) for _ in range(2)] + [800]),
 ], ids=["model3-bernoulli", "model2-lattice"])
-def test_h_sign_check_reports_every_flipped_row(spec, x, want_rows):
+def test_h_sign_check_reports_every_flipped_row(spec, x, grid, want_rows):
     ivset = identity_iv_set(spec.n_instruments)
-    structure, _, arrays = loop_grid_stage(spec, np.array([x]), ivset)
+    structure, _, arrays = loop_grid_stage(spec, np.array([x]), ivset, grid)
     assert bounds._h_sign_check(structure, arrays) == []
     flipped = _flip_latent(arrays)
     mism = bounds._h_sign_check(structure, flipped)
