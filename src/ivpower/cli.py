@@ -249,6 +249,13 @@ def _parse_points(texts, k):
     return points
 
 
+def _one_point(args, k):
+    """The single evaluation point of a command that takes one --x."""
+    if len(args.x or ()) > 1:
+        raise ConfigError(f"{args.command} takes one evaluation point: give --x once")
+    return _parse_points(args.x, k)[0]
+
+
 def _parse_ivset(text, n_instruments):
     parts = text.split(":")
     if len(parts) not in (2, 3):
@@ -358,9 +365,7 @@ def cmd_surface(args):
     gammas = _parse_values(_opt(args, "gamma", "-4:0.2:4"))
     rhos = _parse_values(_opt(args, "rho", "-0.99:0.05:0.99"))
     betas = _parse_values(_opt(args, "beta", "0.05,0.25,0.45"))
-    if len(args.x or ()) > 1:
-        raise ConfigError("surface takes one evaluation point: give --x once")
-    x = _parse_points(args.x, 1)[0]
+    x = _one_point(args, 1)
     out = _out_dir(args)
 
     rows = surface_grid(spec, gammas, rhos, betas, x, match=_match_config(args))
@@ -379,7 +384,7 @@ def cmd_simulate(args):
     design = McDesign(
         spec=spec, iv_sets=iv_sets, sample_sizes=sizes,
         replications=int(_opt(args, "replications", 200)),
-        x_eval=_parse_points(args.x, spec.n_covariates)[0],
+        x_eval=_one_point(args, spec.n_covariates),
         seed=seed, hmue=_hmue_config(args, seed),
         match=_match_config(args), record_sv=not args.no_sv,
     )
@@ -450,7 +455,7 @@ def cmd_rank_ivs(args):
     match = _match_config(args)
     seed = int(_opt(args, "seed", 0))
     n_boot = int(_opt(args, "n_boot", 200))
-    x = _parse_points(args.x, data.n_covariates)[0]
+    x = _one_point(args, data.n_covariates)
     out = _out_dir(args)
     z975 = norm_ppf(0.975)
 
@@ -679,7 +684,7 @@ def _build_parser():
     p.add_argument("--replications", type=int, help="replicates per size (default 200)")
     p.add_argument("--hmue-sims", type=int, dest="hmue_sims",
                    help="parameter draws per correction (default 1000)")
-    p.add_argument("--workers", type=int, help="worker threads (default 1)")
+    p.add_argument("--workers", type=int, help="worker processes (default 1)")
     p.add_argument("--no-sv", action="store_true",
                    help="skip the covariate layer (faster; widest bounds only)")
     p.add_argument("--x", action="append", help="evaluation covariate point")

@@ -248,9 +248,10 @@ def _newton(terms, start, max_iter):
     solves against the information with its eigenvalues in absolute value
     (Newton where the likelihood is concave, ascent at a saddle) and is
     halved until the trial terms are finite and the log-likelihood does
-    not fall; after 20 failed trials the search stops.  Returns (coef, ll,
-    vcov, converged, iterations): converged is max|grad| < 1e-8, vcov the
-    Cholesky inverse of the information.
+    not fall; the search stops after 20 failed trials or at a step that
+    is not finite (a zero eigenvalue).  Returns (coef, ll, vcov, converged,
+    iterations): converged is max|grad| < 1e-8, vcov the Cholesky inverse
+    of the information.
     """
     coef = np.asarray(start, dtype=float)
     # overflow at a far trial point is caught as non-finite terms
@@ -264,6 +265,8 @@ def _newton(terms, start, max_iter):
                 break
             vals, vecs = np.linalg.eigh(info)
             step = vecs @ ((vecs.T @ grad) / np.abs(vals))
+            if not np.isfinite(step).all():
+                break
             for halvings in range(20):
                 cand = coef + 0.5 ** halvings * step
                 trial = terms(cand)

@@ -10,9 +10,12 @@ surfaces over (gamma, rho, beta) grids for figure data.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.stats import ks_2samp
@@ -229,15 +232,30 @@ def mc_replicate(design, n_index, replicate, iv_index):
                             grid=None if design.record_sv else design.x_eval)
 
 
+def _run_task(design, task):
+    """One task as a (task, report or None, error text) record; a failed
+    fit is caught where it runs, so its text crosses back as a string."""
+    ni, r, si = task
+    try:
+        return task, mc_replicate(design, ni, r, si), ""
+    except (RuntimeError, ValueError) as exc:
+        return task, None, str(exc)
+
+
 def run_monte_carlo(design, workers=1):
     """Replicate the pipeline and aggregate deterministically.
 
     Tasks are independent given their (sample size, replicate,
-    instrument set) RNG streams, so the fold over results ordered by
-    task index is identical for any worker count.  Failed fits are
-    recorded, excluded from averages, and trip an alarm flag when they
-    exceed 2 percent of tasks.
+    instrument set) RNG streams.  With ``workers`` above 1 they run in
+    up to that many processes forked from this one, capped at the task
+    count and the CPU count; with one worker (or one slot after the cap)
+    they run here, in order.  The fold over results ordered by task
+    index is identical for any worker count.  Failed fits are recorded,
+    excluded from averages, and trip an alarm flag when they exceed 2
+    percent of tasks.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     truth = {ivs.name: population_report(design.spec, design.x_eval, ivs, design.match)
              for ivs in design.iv_sets}
 
@@ -246,23 +264,22 @@ def run_monte_carlo(design, workers=1):
              for r in range(design.replications)
              for si in range(len(design.iv_sets))]
 
-    def run(task):
-        ni, r, si = task
-        try:
-            return task, mc_replicate(design, ni, r, si), ""
-        except (RuntimeError, ValueError) as exc:
-            return task, None, str(exc)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = {t: (rep, err) for t, rep, err in pool.map(run, tasks)}
+    run = partial(_run_task, design)
+    procs = min(workers, len(tasks), os.cpu_count() or 1)
+    if procs > 1:
+        # fork, not spawn: a spawned worker re-imports numpy and scipy, which
+        # costs more than a round of tasks, and the package runs no thread
+        # of its own when it forks.  Under fork every worker process starts
+        # up front, hence the cap.
+        with ProcessPoolExecutor(max_workers=procs,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(run, tasks,
+                                    chunksize=max(1, len(tasks) // (4 * procs))))
     else:
-        raw = {t: (rep, err) for t, rep, err in map(run, tasks)}
+        results = [run(task) for task in tasks]
 
     records = []
-    for task in tasks:  # deterministic fold order
-        ni, r, si = task
-        rep, err = raw[task]
+    for (ni, r, si), rep, err in results:  # in task order on either path
         name = design.iv_sets[si].name
         n = design.sample_sizes[ni]
         if rep is None:

@@ -389,6 +389,31 @@ def test_surface_takes_one_evaluation_point(tmp_path, capsys):
     assert not (out / "surface.csv").exists()
 
 
+def test_simulate_and_rank_ivs_take_one_evaluation_point(tmp_path, spec_path,
+                                                         data_path, capsys):
+    # both used the first --x and dropped the rest without a word
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", spec_path, "--iv-set", "z1:1", "--sizes", "300",
+                 "--replications", "1", "--hmue-sims", "100", "--no-sv",
+                 "--x=0", "--x=1", "--out", str(out)]) == 2
+    assert "simulate takes one evaluation point: give --x once" in capsys.readouterr().err
+    assert main(["rank-ivs", "--data", data_path, "--iv-set", "z1:1", "--n-boot", "50",
+                 "--hmue-sims", "100", "--x=0", "--x=1", "--out", str(out)]) == 2
+    assert "rank-ivs takes one evaluation point: give --x once" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("workers", ["--workers=0", "--workers=-1"])
+def test_simulate_needs_a_worker(tmp_path, spec_path, workers, capsys):
+    # fewer than one worker ran serially without a word
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", spec_path, "--iv-set", "z1:1", "--sizes", "300",
+                 "--replications", "1", "--hmue-sims", "100", "--no-sv", workers,
+                 "--out", str(out)]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_rank_ivs_command(tmp_path, data_path):
     out = tmp_path / "rank"
     assert main(["rank-ivs", "--data", data_path, "--iv-set", "z1:1",

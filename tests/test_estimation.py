@@ -114,6 +114,19 @@ def test_singular_information_raises():
         fit_probit(data.d, design, ("const", "x1", "x1copy"))
 
 
+def test_newton_stops_at_a_zero_eigenvalue():
+    # a direction with gradient but no information gives a step that is not
+    # finite; the likelihood is never evaluated there (the bivariate-probit
+    # terms raised StopIteration from the kernel on the NaN correlation)
+    def terms(coef):
+        if not np.isfinite(coef).all():
+            raise AssertionError("likelihood evaluated at a non-finite point")
+        return -coef[0] ** 2 + coef[1], np.array([-2.0 * coef[0], 1.0]), np.diag([2.0, 0.0])
+
+    with pytest.raises(RuntimeError, match="singular or indefinite"):
+        est._newton(terms, [1.0, 0.0], 50)
+
+
 def test_probit_intercept_only_closed_form():
     data = _sample(5000)
     fit = fit_probit(data.y, np.ones((data.n, 1)), ("const",))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -111,11 +113,41 @@ def _small_design(replications=3):
                     hmue=HmueConfig(n_sim=100, seed=0))
 
 
+def _assert_identical(a, b, path="record"):
+    """Exact equality down to every float bit, NaN included."""
+    assert type(a) is type(b), path
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_identical(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), path
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_identical(x, y, f"{path}[{i}]")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), path
+        for key in a:
+            _assert_identical(a[key], b[key], f"{path}[{key!r}]")
+    elif isinstance(a, float):
+        assert a == b or (math.isnan(a) and math.isnan(b)), path
+    else:
+        assert a == b, path
+
+
+def _assert_same_results(res, ref):
+    assert table_rows(res) == table_rows(ref)
+    assert res.failure_alarm == ref.failure_alarm
+    assert len(res.records) == len(ref.records)
+    for rec, want in zip(res.records, ref.records):
+        _assert_identical(rec, want)
+
+
 def test_run_monte_carlo_worker_count_does_not_change_results():
     design = _small_design()
     res1 = run_monte_carlo(design, workers=1)
-    res2 = run_monte_carlo(design, workers=2)
-    assert table_rows(res1) == table_rows(res2)
+    for workers in (2, 3):
+        _assert_same_results(run_monte_carlo(design, workers=workers), res1)
     assert not res1.failure_alarm
     cell = res1.cells["z1", 400]
     assert cell.n_ok == 3 and cell.n_failed == 0
@@ -140,6 +172,62 @@ def test_run_monte_carlo_worker_count_does_not_change_results():
                       res1.cells["z2", 400].iip_draws)
     assert ks.statistic == direct.statistic
     assert ks.pvalue == direct.pvalue
+
+
+def test_failed_tasks_cross_the_worker_boundary_unchanged():
+    # at n = 30 most joint MLEs sit on the rho = +-1 boundary or have a
+    # singular information, so the fit fails inside the worker
+    design = McDesign(spec=model3_spec(rho=0.5, covariate="normal"),
+                      iv_sets=standard_iv_sets()[:2], sample_sizes=(30,),
+                      replications=3, seed=3, hmue=HmueConfig(n_sim=100, seed=0),
+                      record_sv=False)
+    with pytest.warns(RuntimeWarning, match="replicate fits failed"):
+        res1 = run_monte_carlo(design, workers=1)
+    failed = [rec for rec in res1.records if rec.failed]
+    assert 0 < len(failed) < len(res1.records)
+    assert any("boundary rho" in rec.error for rec in failed)
+    assert any("singular or indefinite information" in rec.error for rec in failed)
+    for workers in (2, 3):
+        with pytest.warns(RuntimeWarning, match="replicate fits failed"):
+            _assert_same_results(run_monte_carlo(design, workers=workers), res1)
+
+
+def test_run_monte_carlo_rejects_fewer_than_one_worker():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_monte_carlo(_small_design(replications=1), workers=workers)
+
+
+class _SerialPool:
+    """Stands in for the process pool: records its size, maps in order."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        assert chunksize >= 1
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus", [os.cpu_count() or 1, 8, 1])
+def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, cpus):
+    # no real process starts here: the pool is a serial stand-in
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    design = _small_design(replications=1)  # two tasks
+    res = run_monte_carlo(design, workers=10_000)
+    size = min(2, cpus)
+    assert _SerialPool.sizes == ([size] if size > 1 else [])
+    assert len(res.records) == 2 and not any(rec.failed for rec in res.records)
 
 
 def test_run_monte_carlo_failure_accounting(monkeypatch):
