@@ -72,7 +72,6 @@ __all__ = [
     "manski_bounds",
     "identify_sign",
     "widest_bounds",
-    "h_func",
     "sv_bounds",
     "iip",
     "iip_average",
@@ -81,7 +80,6 @@ __all__ = [
     "evaluate_structure",
     "evaluate_draws",
     "ate_signs",
-    "intervals_from_values",
     "assemble",
 ]
 
@@ -102,12 +100,6 @@ class Interval:
     @property
     def width(self):
         return self.upper - self.lower
-
-    def contains(self, other, slack=0.0):
-        """True if ``other`` (Interval or scalar) lies inside, up to slack."""
-        if isinstance(other, Interval):
-            return other.lower >= self.lower - slack and other.upper <= self.upper + slack
-        return self.lower - slack <= other <= self.upper + slack
 
 
 @dataclass(frozen=True)
@@ -474,12 +466,6 @@ def assemble(steps, sign):
                 c1=c1, c2=c2, c3=widest.width - sv.width, c4=sv.width, iip=c1 + c2)
 
 
-def intervals_from_values(values, sign):
-    """Assemble benchmark/widest/two-layer intervals from family values."""
-    parts = assemble(values, sign)
-    return parts["manski"], parts["widest"], parts["sv"]
-
-
 def population_report(spec, x, ivset=None, match=None, grid=None):
     """Full report at x: all bounds, decomposition, IIP, CPS range.
 
@@ -535,32 +521,6 @@ def sv_bounds(spec, x, ivset=None, match=None):
     empty set is 0, infimum is 1.
     """
     return _relevant(population_report(spec, x, ivset, match)).sv
-
-
-def h_func(spec, x, xprime, p, pprime, ivset=None, match=None):
-    """Observable rectangle contrast h(x, x', p, p').
-
-    Both propensities must be attainable (within the matching tolerance)
-    at both covariate points, else the conditional probabilities are not
-    well defined.
-    """
-    ivset = ivset or identity_iv_set(spec.n_instruments)
-    match = match or MatchConfig()
-    partition = SupportPartition(spec, ivset)
-
-    def cells_at(point, prob):
-        p11, p10, row = partition.spec_cells(spec, point)
-        j = int(_nearest(row[0], prob))
-        if abs(float(row[0, j]) - prob) > match.tolerance_c:
-            raise ValueError("probabilities not well defined: propensity "
-                             f"{prob} unattainable at covariate point {point}")
-        return float(p11[0, j]), float(p10[0, j])
-
-    p11_hi, _ = cells_at(xprime, p)
-    p11_lo, _ = cells_at(xprime, pprime)
-    _, p10_hi = cells_at(x, p)
-    _, p10_lo = cells_at(x, pprime)
-    return p11_hi - p11_lo - p10_lo + p10_hi
 
 
 def iip(spec, x, ivset=None):

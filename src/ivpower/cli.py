@@ -24,11 +24,10 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import chi2
 
-from .bounds import (REPORT_COLUMNS, BoundsReport, Interval, MatchConfig,
-                     population_report, report_columns)
+from .bounds import REPORT_COLUMNS, MatchConfig, population_report, report_columns
 from .dgp import IvSet, spec_from_dict, spec_to_dict
 from .estimation import (
-    GRID_LEVELS, Dataset, EstimatedReport, FitResult, HmueConfig,
+    GRID_LEVELS, Dataset, EstimatedReport, HmueConfig,
     bootstrap_dispersion, estimated_report, fit_probit, fit_set,
     quantile_grid, read_dataset_csv, with_intercept,
 )
@@ -58,10 +57,6 @@ def _interval_out(iv):
     return [float(iv.lower), float(iv.upper)]
 
 
-def _interval_in(v):
-    return Interval(float(v[0]), float(v[1]))
-
-
 def fit_to_dict(fit):
     return {
         "names": list(fit.names),
@@ -71,17 +66,6 @@ def fit_to_dict(fit):
         "converged": bool(fit.converged),
         "iterations": int(fit.iterations),
     }
-
-
-def fit_from_dict(d):
-    return FitResult(
-        params=np.asarray(d["params"], dtype=float),
-        names=tuple(d["names"]),
-        loglik=float(d["loglik"]),
-        vcov=np.asarray(d["vcov"], dtype=float),
-        converged=bool(d["converged"]),
-        iterations=int(d["iterations"]),
-    )
 
 
 def report_to_dict(rep):
@@ -114,40 +98,6 @@ def report_to_dict(rep):
         out["spec"] = spec_to_dict(rep.spec)
         out["iv_name"] = rep.iv_name
     return out
-
-
-def report_from_dict(d):
-    kind = d.get("kind")
-    if kind not in ("population", "estimated"):
-        raise ConfigError(f"unknown report kind {kind!r}")
-    common = dict(
-        x=tuple(float(v) for v in d["x"]),
-        sign=None if d["sign"] is None else int(d["sign"]),
-        irrelevant=bool(d["irrelevant"]),
-        manski=_interval_in(d["manski"]),
-        widest=_interval_in(d["widest"]),
-        sv=_interval_in(d["sv"]),
-        c1=float(d["c1"]), c2=float(d["c2"]),
-        c3=float(d["c3"]), c4=float(d["c4"]),
-        iip=float(d["iip"]),
-        cps_lo=float(d["cps_lo"]), cps_hi=float(d["cps_hi"]),
-        ate_model=float(d["ate_model"]),
-    )
-    if kind == "population":
-        return BoundsReport(**common)
-    return EstimatedReport(
-        **common,
-        point_manski=_interval_in(d["point_manski"]),
-        point_widest=_interval_in(d["point_widest"]),
-        point_sv=_interval_in(d["point_sv"]),
-        point_iip=float(d["point_iip"]),
-        levels={float(q): {k: _interval_in(v) for k, v in iv.items()}
-                for q, iv in d["levels"].items()},
-        flip_rate=float(d["flip_rate"]),
-        fit=fit_from_dict(d["fit"]),
-        spec=spec_from_dict(d["spec"]),
-        iv_name=d["iv_name"],
-    )
 
 
 def _sign_cell(sign):

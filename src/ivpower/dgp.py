@@ -17,8 +17,7 @@ the bound engine in `bounds` and `cps_support` both use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -31,17 +30,12 @@ __all__ = [
     "Normal",
     "DgpSpec",
     "IvSet",
-    "CellProbs",
     "CpsSupport",
     "SupportPartition",
     "nu1",
-    "nu2",
-    "cps",
     "iv_support",
     "cps_support",
-    "cell_probs",
     "cell_probs_arrays",
-    "marginal_cell_probs",
     "true_ate",
     "spec_to_dict",
     "spec_from_dict",
@@ -177,31 +171,6 @@ def identity_iv_set(n_instruments, name="all"):
 
 
 @dataclass(frozen=True)
-class CellProbs:
-    """Joint probabilities Pr[Y=y, D=d | x, p] for the four (y,d) cells."""
-
-    p11: float
-    p10: float
-    p01: float
-    p00: float
-
-    def __post_init__(self):
-        total = self.p11 + self.p10 + self.p01 + self.p00
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"cells sum to {total}")
-        if not min(self.p11, self.p10, self.p01, self.p00) >= -1e-12:
-            raise ValueError("negative cell probability")
-
-    @property
-    def p(self):
-        """The conditioning propensity Pr[D=1]."""
-        return self.p11 + self.p01
-
-    def pr_y1(self):
-        return self.p11 + self.p10
-
-
-@dataclass(frozen=True)
 class CpsSupport:
     """Support of the CPS at a covariate point: (p, mass) pairs, sorted."""
 
@@ -237,13 +206,6 @@ class CpsSupport:
     def degenerate(self):
         return len(self.points) == 1
 
-    def pvalues(self):
-        return np.array([p for p, _ in self.points])
-
-    def masses(self):
-        return np.array([m for _, m in self.points])
-
-
 def _as_vector(v, dim, what):
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.shape != (dim,):
@@ -255,18 +217,6 @@ def nu1(spec, d, x):
     """Outcome latent index nu1(d, x) = alpha*d + beta'x."""
     x = _as_vector(x, spec.n_covariates, "x")
     return spec.alpha * d + float(np.dot(spec.beta, x))
-
-
-def nu2(spec, x, z):
-    """Treatment latent index nu2(x, z) = pi'x + gamma'z."""
-    x = _as_vector(x, spec.n_covariates, "x")
-    z = _as_vector(z, spec.n_instruments, "z")
-    return float(np.dot(spec.pi, x) + np.dot(spec.gamma, z))
-
-
-def cps(spec, x, z):
-    """Conditional propensity score Pr[D=1 | x, z] = Phi(nu2(x, z))."""
-    return float(norm_cdf(nu2(spec, x, z)))
 
 
 def iv_support(spec):
@@ -381,33 +331,6 @@ def cell_probs_arrays(v1, v0, p, rho):
     p01 = np.clip(p - p11, 0.0, 1.0)
     p10 = np.clip(1.0 - p - p00, 0.0, 1.0)
     return p11, p10, p01, p00
-
-
-def cell_probs(spec, x, p):
-    """Cell probabilities Pr[Y=y, D=d | x, p] at propensity p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
-    v1 = nu1(spec, 1, x)
-    v0 = nu1(spec, 0, x)
-    p11, p10, p01, p00 = cell_probs_arrays(v1, v0, p, spec.rho)
-    return CellProbs(float(p11), float(p10), float(p01), float(p00))
-
-
-def marginal_cell_probs(spec, x):
-    """Cells Pr[Y=y, D=d | x] marginalized over the raw instrument
-    distribution.  Does not depend on any instrument subset."""
-    pts = iv_support(spec)
-    pvals = np.array([cps(spec, x, z) for z, _ in pts])
-    masses = np.array([m for _, m in pts])
-    v1 = nu1(spec, 1, x)
-    v0 = nu1(spec, 0, x)
-    p11, p10, p01, p00 = cell_probs_arrays(v1, v0, pvals, spec.rho)
-    return CellProbs(
-        float(np.dot(masses, p11)),
-        float(np.dot(masses, p10)),
-        float(np.dot(masses, p01)),
-        float(np.dot(masses, p00)),
-    )
 
 
 def true_ate(spec, x):

@@ -206,9 +206,6 @@ class FitResult:
         object.__setattr__(self, "vcov", vcov)
         object.__setattr__(self, "names", tuple(self.names))
 
-    def se(self):
-        return np.sqrt(np.clip(np.diag(self.vcov), 0.0, None))
-
 
 @dataclass(frozen=True)
 class HmueConfig:
@@ -524,9 +521,8 @@ def _corrected_steps(structure, point_vals, fam_draws, quantiles):
         else:
             active = v <= v.min() + 2.0 * s
             dev = (v[active] - draws[:, active]) / s[active]
-        maxdev = dev.max(axis=1)
-        for q in quantiles:
-            k = max(0.0, float(np.quantile(maxdev, q)))
+        for q, k in zip(quantiles, np.quantile(dev.max(axis=1), quantiles)):
+            k = max(0.0, float(k))
             if fam.role == "sup":
                 out[q][name] = float(np.max(v - k * s))
             else:
@@ -621,17 +617,15 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None, grid=No
 # ---------------------------------------------------------------------------
 
 def hausdorff_interval(a, b):
-    """Hausdorff distance between two closed intervals.
+    """Hausdorff distance between two closed `Interval`s.
 
     An empty interval (lower > upper) is at infinite distance from
     anything.  Emptiness allows 1e-12 of float noise so that
     point-identified intervals are not misread as empty.
     """
-    lo_a, up_a = (a.lower, a.upper) if isinstance(a, Interval) else (float(a[0]), float(a[1]))
-    lo_b, up_b = (b.lower, b.upper) if isinstance(b, Interval) else (float(b[0]), float(b[1]))
-    if lo_a > up_a + 1e-12 or lo_b > up_b + 1e-12:
+    if a.lower > a.upper + 1e-12 or b.lower > b.upper + 1e-12:
         return math.inf
-    return max(abs(lo_a - lo_b), abs(up_a - up_b))
+    return max(abs(a.lower - b.lower), abs(a.upper - b.upper))
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,8 @@ def binorm_cdf(a, b, rho):
     # at least 1-d, so every temporary is an array the kernel can update
     a, b, rho = np.atleast_1d(a, b, rho)
     r = np.abs(rho)
-    if np.any(r >= 1.0):
+    # written so that a NaN correlation fails the check too
+    if not np.all(r < 1.0):
         raise ValueError("binorm_cdf requires |rho| < 1")
     sign = np.where(rho < 0.0, -1.0, 1.0)
     if r.size > 1 and r.min() == r.max():

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from ivpower import bounds
-from ivpower.bounds import (Interval, MatchConfig, build_structure,
+from ivpower.bounds import (Interval, MatchConfig, assemble, build_structure,
                             default_covariate_grid, evaluate_structure,
-                            h_func, identify_sign, iip, iip_average,
-                            intervals_from_values, manski_bounds,
+                            identify_sign, iip, iip_average, manski_bounds,
                             population_report, sv_bounds, widest_bounds)
 from ivpower.dgp import (DgpSpec, Discrete, IvSet, JointDiscrete, Normal,
-                         cps_support, identity_iv_set, true_ate)
+                         SupportPartition, identity_iv_set, true_ate)
 from ivpower.simulation import model2_spec, model3_spec, standard_iv_sets
 from oracle_sv import oracle_report
 from test_solve_arrays import loop_grid_stage
@@ -34,6 +33,11 @@ _IIP_BY_SET = {
     0.5: (0.305, 0.493, 0.456, 0.625, 0.625),
     0.8: (0.232, 0.443, 0.403, 0.594, 0.594),
 }
+
+
+def nested(outer, inner, slack=0.0):
+    """True if Interval ``inner`` lies inside ``outer``, up to slack."""
+    return outer.lower - slack <= inner.lower and inner.upper <= outer.upper + slack
 
 
 def random_micro_case(rng, i):
@@ -180,8 +184,8 @@ def test_bound_nesting_with_matching_slack():
     for cov in ("normal", "bernoulli"):
         spec = model3_spec(rho=0.5, covariate=cov)
         rep = population_report(spec, X0, standard_iv_sets()[3], match)
-        assert rep.manski.contains(rep.widest, slack=1e-12)
-        assert rep.widest.contains(rep.sv, slack=slack)
+        assert nested(rep.manski, rep.widest, slack=1e-12)
+        assert nested(rep.widest, rep.sv, slack=slack)
         assert rep.sv.lower - slack <= rep.ate_model <= rep.sv.upper + slack
 
 
@@ -233,14 +237,15 @@ def test_degenerate_outcome_index_keeps_widest_width():
     assert s.width == pytest.approx(w.width, abs=1e-12)
 
 
-def test_h_func_nonnegative_on_shared_point():
+def test_h_nonnegative_on_shared_point():
+    # at x' = x the rectangle contrast h(x, x, p_hi, p_lo) is
+    # Pr[Y=1 | x, p_hi] - Pr[Y=1 | x, p_lo], of the ATE's sign (here +)
     spec = model3_spec(rho=0.5)
     ivset = standard_iv_sets()[3]
-    sup = cps_support(spec, X0, ivset)
-    hi, lo = sup.p_hi, sup.p_lo
-    assert h_func(spec, X0, X0, hi, lo, ivset) >= -1e-12
-    with pytest.raises(ValueError, match="unattainable"):
-        h_func(spec, X0, X0, 0.99, lo, ivset)
+    p11, p10, p = (c[0] for c in SupportPartition(spec, ivset).spec_cells(spec, X0))
+    pr_y1 = p11 + p10
+    assert pr_y1[p.argmax()] - pr_y1[p.argmin()] >= -1e-12
+    assert population_report(spec, X0, ivset).sign == 1
 
 
 def test_default_covariate_grid():
@@ -264,7 +269,8 @@ def test_structure_evaluation_reproduces_population_point():
     structure = build_structure(spec, X0, ivset, match)
     values = evaluate_structure(structure, spec.alpha, spec.beta, spec.pi,
                                 spec.gamma, spec.rho)
-    manski, widest, sv = intervals_from_values(values, structure.sign)
+    parts = assemble(values, structure.sign)
+    manski, widest, sv = parts["manski"], parts["widest"], parts["sv"]
     assert manski.lower == pytest.approx(rep.manski.lower, abs=1e-12)
     assert manski.upper == pytest.approx(rep.manski.upper, abs=1e-12)
     assert widest.lower == pytest.approx(rep.widest.lower, abs=1e-12)
@@ -286,12 +292,7 @@ def test_iip_average_weighted_points():
 
 
 def test_interval_helpers():
-    outer = Interval(-0.2, 0.8)
-    inner = Interval(-0.1, 0.75)
-    assert outer.contains(inner)
-    assert not inner.contains(outer)
-    assert inner.contains(Interval(-0.1001, 0.75), slack=1e-3)
-    assert outer.width == pytest.approx(1.0, abs=1e-15)
+    assert Interval(-0.2, 0.8).width == pytest.approx(1.0, abs=1e-15)
 
 
 def test_widest_width_monotone_in_rho_for_positive_sign():

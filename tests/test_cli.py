@@ -7,16 +7,16 @@ import pytest
 
 import ivpower.cli as cli
 from ivpower.cli import (ConfigError, ROW_COLUMNS, _collect_ivsets,
-                         _parse_ivset, _parse_values, fit_from_dict,
-                         fit_to_dict, kernel_weights, main, report_from_dict,
-                         report_row, report_to_dict, silverman_bandwidth,
-                         write_csv)
+                         _parse_ivset, _parse_values, fit_to_dict,
+                         kernel_weights, main, report_row, report_to_dict,
+                         silverman_bandwidth, write_csv)
 from ivpower.bounds import Interval, population_report
-from ivpower.dgp import spec_to_dict
+from ivpower.dgp import spec_from_dict, spec_to_dict
 from ivpower.estimation import (Dataset, FitResult, HmueConfig, estimated_report,
                                 fit_bivariate_probit, write_dataset_csv)
 from ivpower.gaussian import rng_stream
 from ivpower.simulation import generate_sample, model2_spec, model3_spec
+from test_bounds import nested
 
 SPEC = model3_spec(rho=0.5, covariate="normal")
 
@@ -85,48 +85,60 @@ def test_collect_ivsets():
         _collect_ivsets(ns(standard_sets=False, iv_set=["a:1", "a:2"]), 3)
 
 
-def test_population_report_round_trips_through_json():
+_REPORT_FLOATS = ("c1", "c2", "c3", "c4", "iip", "cps_lo", "cps_hi", "ate_model")
+
+
+def _json(obj):
+    return json.loads(json.dumps(obj))
+
+
+def _assert_intervals(doc, rep, names):
+    for name in names:
+        iv = getattr(rep, name)
+        assert doc[name] == [iv.lower, iv.upper], name
+
+
+def _assert_scalars(doc, rep, names):
+    for name in names:
+        assert doc[name] == getattr(rep, name), name
+
+
+def test_population_report_json_fields():
     rep = population_report(SPEC, (0.0,))
-    back = report_from_dict(json.loads(json.dumps(report_to_dict(rep))))
-    assert type(back).__name__ == "BoundsReport"
-    assert back.manski == rep.manski
-    assert back.sv == rep.sv
-    assert back.sign == rep.sign
-    assert (back.c1, back.c2, back.c3, back.c4) == (rep.c1, rep.c2, rep.c3, rep.c4)
-    assert back.iip == rep.iip
+    doc = _json(report_to_dict(rep))
+    assert set(doc) == {"kind", "x", "sign", "irrelevant", "manski", "widest", "sv",
+                        *_REPORT_FLOATS}
+    assert doc["kind"] == "population"
+    assert doc["x"] == list(rep.x)
+    assert (doc["sign"], doc["irrelevant"]) == (rep.sign, rep.irrelevant)
+    _assert_intervals(doc, rep, ("manski", "widest", "sv"))
+    _assert_scalars(doc, rep, _REPORT_FLOATS)
 
 
-def test_estimated_report_round_trips_through_json(sample_report):
+def test_estimated_report_json_fields(sample_report):
     rep = sample_report
-    back = report_from_dict(json.loads(json.dumps(report_to_dict(rep))))
-    assert back.sv == rep.sv
-    assert back.point_sv == rep.point_sv
-    assert back.flip_rate == rep.flip_rate
-    assert back.iv_name == rep.iv_name
-    assert set(back.levels) == set(rep.levels)
-    for q in rep.levels:
-        assert back.levels[q] == rep.levels[q]
-    np.testing.assert_array_equal(back.fit.params, rep.fit.params)
-    assert back.spec == rep.spec
-    with pytest.raises(ConfigError, match="unknown report kind"):
-        report_from_dict({"kind": "mystery"})
+    doc = _json(report_to_dict(rep))
+    assert doc["kind"] == "estimated"
+    assert doc["x"] == list(rep.x)
+    assert (doc["sign"], doc["irrelevant"]) == (rep.sign, rep.irrelevant)
+    _assert_intervals(doc, rep, ("manski", "widest", "sv",
+                                 "point_manski", "point_widest", "point_sv"))
+    _assert_scalars(doc, rep, _REPORT_FLOATS + ("point_iip", "flip_rate", "iv_name"))
+    assert doc["levels"] == {repr(q): {k: [v.lower, v.upper] for k, v in iv.items()}
+                             for q, iv in rep.levels.items()}
+    assert doc["fit"] == _json(fit_to_dict(rep.fit))
+    assert spec_from_dict(doc["spec"]) == rep.spec
 
 
-def test_fit_round_trips_through_json(sample_report):
+def test_fit_json_fields(sample_report):
     fit = sample_report.fit
-    back = fit_from_dict(json.loads(json.dumps(fit_to_dict(fit))))
-    assert back.names == fit.names
-    np.testing.assert_array_equal(back.params, fit.params)
-    np.testing.assert_array_equal(back.vcov, fit.vcov)
-    assert back.loglik == fit.loglik
-    assert back.converged == fit.converged
-
-
-def test_fit_from_dict_rejects_asymmetric_vcov():
-    doc = {"names": ["a", "b"], "params": [0.1, 0.2], "loglik": -1.0,
-           "vcov": [[1.0, 0.5], [0.4, 1.0]], "converged": True, "iterations": 3}
-    with pytest.raises(ValueError, match="symmetric"):
-        fit_from_dict(doc)
+    doc = _json(fit_to_dict(fit))
+    assert set(doc) == {"names", "params", "loglik", "vcov", "converged", "iterations"}
+    assert doc["names"] == list(fit.names)
+    assert doc["params"] == fit.params.tolist()
+    assert doc["vcov"] == fit.vcov.tolist()
+    assert doc["loglik"] == fit.loglik
+    assert (doc["converged"], doc["iterations"]) == (fit.converged, fit.iterations)
 
 
 def test_report_row_columns():
@@ -265,8 +277,8 @@ def test_rho_inside_the_kernel_clamp_gives_nested_bounds(tmp_path, rho):
         widest = Interval(row["L_bar"], row["U_bar"])
         sv = Interval(row["L_SV"], row["U_SV"])
         assert sv.lower <= sv.upper + 1e-12
-        assert widest.contains(sv, 1e-12)
-        assert manski.contains(widest, 1e-12)
+        assert nested(widest, sv, 1e-12)
+        assert nested(manski, widest, 1e-12)
 
 
 def test_data_errors_exit_3(tmp_path, capsys):

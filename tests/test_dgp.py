@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivpower.dgp import (CellProbs, CpsSupport, DgpSpec, Discrete, IvSet,
-                         JointDiscrete, Normal,
-                         cell_probs, cell_probs_arrays, cps, cps_support,
-                         identity_iv_set, iv_support, marginal_cell_probs,
-                         nu1, nu2, spec_from_dict, spec_to_dict, true_ate)
+from ivpower.dgp import (CpsSupport, DgpSpec, Discrete, IvSet, JointDiscrete,
+                         Normal, SupportPartition, cell_probs_arrays, cps_support,
+                         identity_iv_set, iv_support, nu1, spec_from_dict,
+                         spec_to_dict, true_ate)
+from ivpower.gaussian import norm_cdf
 from ivpower.simulation import model3_spec, standard_iv_sets
 from oracle_sv import oracle_cells
 
@@ -32,7 +32,7 @@ def test_standard_cps_ranges():
         lo, hi = _CPS_RANGES[ivset.name]
         assert sup.p_lo == pytest.approx(lo, abs=1e-3)
         assert sup.p_hi == pytest.approx(hi, abs=1e-3)
-        assert sup.masses().sum() == pytest.approx(1.0, abs=1e-12)
+        assert sum(m for _, m in sup.points) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cps_range_invariant_to_rho_and_covariate_case():
@@ -40,7 +40,7 @@ def test_cps_range_invariant_to_rho_and_covariate_case():
     for rho, cov in ((0.8, "normal"), (0.5, "bernoulli")):
         other = cps_support(model3_spec(rho=rho, covariate=cov), X0,
                             standard_iv_sets()[3])
-        np.testing.assert_allclose(other.pvalues(), base.pvalues(), atol=1e-15)
+        np.testing.assert_allclose(other.points, base.points, atol=1e-15)
 
 
 def test_redundant_instrument_support_merges():
@@ -50,8 +50,7 @@ def test_redundant_instrument_support_merges():
     s4 = cps_support(spec, X0, standard_iv_sets()[3])
     s5 = cps_support(spec, X0, standard_iv_sets()[4])
     assert len(s4.points) == len(s5.points) == 14
-    np.testing.assert_allclose(s5.pvalues(), s4.pvalues(), atol=1e-15)
-    np.testing.assert_allclose(s5.masses(), s4.masses(), atol=1e-15)
+    np.testing.assert_allclose(s5.points, s4.points, atol=1e-15)
 
 
 def test_true_ate_model3():
@@ -61,22 +60,19 @@ def test_true_ate_model3():
         pytest.approx(0.3413447460685429, abs=1e-12)
 
 
-def test_cell_probs_match_independent_route():
+def _cells(partition, spec, x):
+    """The four (y, d) cells per group at x, as (T, 4) rows."""
+    p11, p10, p = (c[0] for c in partition.spec_cells(spec, x))
+    return np.column_stack([p11, p10, p - p11, 1.0 - p - p10])
+
+
+def test_group_cells_match_independent_route():
+    # under the identity set every raw support point is its own group
     spec = model3_spec(rho=0.8)
-    for z in ((0.0, -3.0, 1.0), (1.0, 2.0, 0.0), (1.0, 0.0, 1.0)):
-        p = cps(spec, X0, np.array(z))
-        got = cell_probs(spec, X0, p)
-        want = oracle_cells(spec, X0, np.array(z))
-        np.testing.assert_allclose(
-            (got.p11, got.p10, got.p01, got.p00), want, atol=1e-12)
-        assert got.p == pytest.approx(p, abs=1e-12)
-        assert got.pr_y1() == pytest.approx(got.p11 + got.p10, abs=0)
-
-
-def test_cell_probs_requires_valid_propensity():
-    spec = model3_spec()
-    with pytest.raises(ValueError):
-        cell_probs(spec, X0, 1.2)
+    partition = SupportPartition(spec, identity_iv_set(spec.n_instruments))
+    for x in (X0, np.array([1.3])):
+        want = [oracle_cells(spec, x, np.array(z)) for z, _ in iv_support(spec)]
+        np.testing.assert_allclose(_cells(partition, spec, x), want, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,13 +86,16 @@ def test_cell_probs_arrays_sum_and_range(v1, v0, p, rho):
 
 
 def test_marginal_cells_equal_support_average():
+    # the group cells of any instrument subset average back to the cells
+    # marginalized over the raw instrument distribution
     spec = model3_spec(rho=0.5)
-    marg = marginal_cell_probs(spec, X0)
     acc = np.zeros(4)
     for z, mass in iv_support(spec):
         acc += mass * np.array(oracle_cells(spec, X0, np.array(z)))
-    np.testing.assert_allclose((marg.p11, marg.p10, marg.p01, marg.p00),
-                               acc, atol=1e-12)
+    for ivset in standard_iv_sets():
+        partition = SupportPartition(spec, ivset)
+        np.testing.assert_allclose(partition.gmass @ _cells(partition, spec, X0),
+                                   acc, atol=1e-12)
 
 
 def test_iv_support_product_order_and_mass():
@@ -180,8 +179,11 @@ def test_latent_indices():
     spec = model3_spec(rho=0.5)
     assert nu1(spec, 1, np.array([0.3])) == pytest.approx(1.3, abs=1e-15)
     assert nu1(spec, 0, np.array([0.3])) == pytest.approx(0.3, abs=1e-15)
-    z = np.array([1.0, 2.0, 1.0])
-    assert nu2(spec, np.array([0.5]), z) == pytest.approx(-0.5 + 0.5 + 0.4, abs=1e-15)
+    # treatment index pi'x + gamma'z at raw z = (1, 2, 1), its own group
+    # under the identity set
+    j = [z for z, _ in iv_support(spec)].index((1.0, 2.0, 1.0))
+    p = SupportPartition(spec, identity_iv_set(3)).spec_cells(spec, [0.5])[2]
+    assert p[0, j] == pytest.approx(norm_cdf(-0.5 + 0.5 + 0.4), abs=1e-15)
 
 
 def test_cps_subset_conditioning_is_mixture():
@@ -191,19 +193,14 @@ def test_cps_subset_conditioning_is_mixture():
     # p given z1 must average Phi(0.5 z1 + 0.2 z2) over the z2 distribution
     z2 = spec.iv_dists[1]
     for z1, (pv, mass) in zip((0.0, 1.0), sup.points):
-        want = sum(q * cps(spec, X0, np.array([z1, v, 0.0]))
+        want = sum(q * norm_cdf(np.dot(spec.pi, X0) + np.dot(spec.gamma, (z1, v, 0.0)))
                    for v, q in zip(z2.values, z2.probs))
         assert pv == pytest.approx(want, abs=1e-12)
         assert mass == pytest.approx(0.5, abs=1e-12)
 
 
-# the two checks below guard values that can come from outside input, so
-# they must raise ValueError and survive python -O, which strips asserts
-def test_cell_probs_rejects_cells_not_summing_to_one():
-    with pytest.raises(ValueError, match="cells sum"):
-        CellProbs(0.3, 0.2, 0.2, 0.2)
-
-
+# this check guards values that can come from outside input, so it must
+# raise ValueError and survive python -O, which strips asserts
 def test_cps_support_rejects_masses_not_summing_to_one():
     with pytest.raises(ValueError, match="masses sum"):
         CpsSupport(points=((0.3, 0.5), (0.6, 0.4)))

@@ -151,7 +151,7 @@ def test_fit_bivariate_probit_recovers_model3():
     truth = {"alpha": 1.0, "beta0": 0.0, "beta1": 1.0, "pi0": 0.0, "pi1": -1.0,
              "gamma1": 0.5, "gamma2": 0.2, "gamma3": 0.0,
              "rho_z": math.atanh(0.8)}
-    se = fit.se()
+    se = np.sqrt(np.diag(fit.vcov))
     for name, want in truth.items():
         j = fit.names.index(name)
         assert abs(fit.params[j] - want) < 4.5 * se[j] + 1e-6, name
@@ -215,12 +215,20 @@ def test_dataset_requires_binary_outcomes():
 
 
 def test_hausdorff_interval():
-    assert hausdorff_interval((0.0, 1.0), (0.0, 1.0)) == 0.0
-    assert hausdorff_interval((0.0, 1.0), (-0.5, 1.2)) == pytest.approx(0.5)
-    assert hausdorff_interval(Interval(0.2, 0.4), (0.0, 1.0)) == pytest.approx(0.6)
-    assert hausdorff_interval((0.5, 0.2), (0.0, 1.0)) == math.inf
+    unit = Interval(0.0, 1.0)
+    assert hausdorff_interval(unit, unit) == 0.0
+    assert hausdorff_interval(unit, Interval(-0.5, 1.2)) == pytest.approx(0.5)
+    assert hausdorff_interval(Interval(0.2, 0.4), unit) == pytest.approx(0.6)
+    assert hausdorff_interval(Interval(0.5, 0.2), unit) == math.inf
+    assert hausdorff_interval(unit, Interval(0.5, 0.2)) == math.inf
     # float-noise "empty" intervals are treated as points
-    assert hausdorff_interval((0.3, 0.3 - 1e-13), (0.3, 0.3)) < 1e-12
+    assert hausdorff_interval(Interval(0.3, 0.3 - 1e-13), Interval(0.3, 0.3)) < 1e-12
+
+
+def test_fit_result_rejects_asymmetric_vcov():
+    with pytest.raises(ValueError, match="symmetric"):
+        FitResult(params=[0.1, 0.2], names=("a", "b"), loglik=-1.0,
+                  vcov=[[1.0, 0.5], [0.4, 1.0]], converged=True, iterations=3)
 
 
 def test_hmue_config_validation():

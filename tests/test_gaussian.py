@@ -152,6 +152,16 @@ def test_binorm_cdf_limits_and_sentinels():
         binorm_cdf(0.0, 0.0, 1.0)
 
 
+def test_binorm_cdf_rejects_nan_correlation():
+    # a StopIteration here would silently end a map() or generator early
+    with pytest.raises(ValueError, match="rho"):
+        binorm_cdf(0.0, 0.0, math.nan)
+    with pytest.raises(ValueError, match="rho"):
+        binorm_cdf(np.zeros(3), 0.0, np.array([0.1, math.nan, 0.2]))
+    with pytest.raises(ValueError, match="rho"):
+        list(map(lambda r: binorm_cdf(0.0, 0.0, r), [0.1, math.nan, 0.2]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-6, 6), st.floats(-6, 6), st.floats(-0.999, 0.999))
 def test_binorm_cdf_frechet_bounds(h, k, rho):
