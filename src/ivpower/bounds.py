@@ -22,8 +22,8 @@ Every quantity comes out of one bound engine, in five steps:
 2. cells: `SupportPartition.group_cells` gives the observable group cells
    for a batch of R parameter values at the evaluation point and the
    covariate grid, the candidate rows x' the caller passes as ``grid``;
-3. families: `_solve` matches propensities across the grid and flattens
-   every sup/inf bounding step into a family of member values
+3. families: `build_structure` matches propensities across the grid and
+   flattens every sup/inf bounding step into a family of member values
    (`BoundsStructure`), with the CPS support and the ATE sign; the
    matching, the family construction and the pairwise sign check are
    array operations over the T own-support groups and G grid rows.
@@ -151,7 +151,7 @@ class _Family:
     """
 
     role: str  # "sup" or "inf"
-    form: str  # "L1", "U0", "U1", "L0", "marg_L", "marg_U", "p_lo", "p_hi"
+    form: str  # "L1", "U0", "U1", "L0", "marg_L", "marg_U", "p_lo"
     t: np.ndarray
     g: np.ndarray
     j: np.ndarray
@@ -218,7 +218,7 @@ def _family_values(fam, own, grid, pos, gmass):
         return (-(p10o @ gmass) - ((pown - p11o) @ gmass))[:, None]
     if fam.form == "marg_U":
         return ((p11o @ gmass) + ((1.0 - p10o - pown) @ gmass))[:, None]
-    if fam.form in ("p_lo", "p_hi"):
+    if fam.form == "p_lo":
         return pown.copy()
     t, m = fam.t, fam.g >= 0
     g, j = pos[fam.g[m]], fam.j[m]
@@ -245,10 +245,14 @@ def _values(structure, own, grid, pos):
             for name, fam in structure.families.items()}
 
 
-def _solve(spec, x, ivset, match, grid=None):
+def build_structure(spec, x, ivset=None, match=None, grid=None):
     """The engine's one pass at x: grouping, cells, CPS support, sign,
     matching and families, with the families' values at ``spec``.
 
+    Membership, matching and the ATE sign are frozen at ``spec``, so
+    `evaluate_draws` can re-evaluate the families at new parameters; the
+    sign is None when the CPS support at x is degenerate.  ``ivset``
+    defaults to every instrument, ``match`` to `MatchConfig()`.
     ``grid`` holds the candidate covariate rows x' (a 1-D array is one
     row; None is `default_covariate_grid`); x is appended when missing,
     and where pi'x' is constant over the rows only the endpoint rows stay
@@ -257,6 +261,8 @@ def _solve(spec, x, ivset, match, grid=None):
     member array.  Raises RuntimeError when the pairwise expectation
     contradicts a set membership.
     """
+    ivset = ivset or identity_iv_set(spec.n_instruments)
+    match = match or MatchConfig()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if grid is not None:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -269,7 +275,7 @@ def _solve(spec, x, ivset, match, grid=None):
     T = pown.size
     fams = {form: _Family(role, form, np.arange(n), np.full(n, -1), np.full(n, -1))
             for form, role, n in (("marg_L", "sup", 1), ("marg_U", "inf", 1),
-                                  ("p_lo", "inf", T), ("p_hi", "sup", T))}
+                                  ("p_lo", "inf", T))}
     if support.degenerate:
         structure = BoundsStructure(x, x[None], partition, None, support, fams)
         structure.values = {k: v[0] for k, v in _values(structure, one, None, None).items()}
@@ -469,12 +475,10 @@ def assemble(steps, sign):
 def population_report(spec, x, ivset=None, match=None, grid=None):
     """Full report at x: all bounds, decomposition, IIP, CPS range.
 
-    ``grid`` holds the candidate covariate rows x' (see `_solve`); with
-    ``grid=x`` the two-layer interval is the widest one.
+    ``grid`` holds the candidate covariate rows x' (see `build_structure`);
+    with ``grid=x`` the two-layer interval is the widest one.
     """
-    ivset = ivset or identity_iv_set(spec.n_instruments)
-    match = match or MatchConfig()
-    structure = _solve(spec, x, ivset, match, grid)
+    structure = build_structure(spec, x, ivset, match, grid)
     return BoundsReport(
         x=tuple(structure.x), sign=structure.sign, irrelevant=structure.sign is None,
         **assemble(structure.values, structure.sign),
@@ -556,18 +560,6 @@ def iip_average(spec, ivset=None, x_weights=None):
 # ---------------------------------------------------------------------------
 # re-evaluation at new parameter values (used by estimation)
 # ---------------------------------------------------------------------------
-
-def build_structure(spec, x, ivset=None, match=None, grid=None):
-    """Fixed family structure for draw-based re-evaluation.
-
-    Membership, matching and the ATE sign are frozen at ``spec``; the
-    sign is None when the CPS support at x is degenerate.  ``grid`` holds
-    the candidate covariate rows x' (see `_solve`).  The structure's
-    ``values`` are the families evaluated at ``spec``.
-    """
-    ivset = ivset or identity_iv_set(spec.n_instruments)
-    return _solve(spec, x, ivset, match or MatchConfig(), grid)
-
 
 def evaluate_draws(structure, alphas, betas, pis, gammas, rhos):
     """Member values of every family at R parameter draws.

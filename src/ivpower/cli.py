@@ -230,7 +230,7 @@ def _parse_ivset(text, n_instruments):
 
 def _collect_ivsets(args, n_instruments):
     sets = []
-    if getattr(args, "standard_sets", False):
+    if args.standard_sets:
         if n_instruments != 3:
             raise ConfigError("--standard-sets needs exactly 3 instrument columns")
         sets.extend(standard_iv_sets())
@@ -244,32 +244,9 @@ def _collect_ivsets(args, n_instruments):
     return tuple(sets)
 
 
-def _opt(args, name, default):
-    value = getattr(args, name, None)
-    if value is None:
-        value = args._config.get(name)
-    return default if value is None else value
-
-
-def _match_config(args):
-    return MatchConfig(tolerance_c=float(_opt(args, "tolerance_c", 0.01)))
-
-
-def _hmue_config(args, seed):
-    levels = _opt(args, "levels", None)
-    kwargs = {"n_sim": int(_opt(args, "hmue_sims", 1000)), "seed": seed}
-    if levels is not None:
-        kwargs["levels"] = tuple(float(v) for v in _parse_values(levels))
-    try:
-        return HmueConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _out_dir(args):
-    out = _opt(args, "out", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _echo_report(rep, label):
@@ -290,7 +267,7 @@ def _echo_report(rep, label):
 
 def cmd_dgp_bounds(args):
     spec = load_spec(args.spec)
-    match = _match_config(args)
+    match = MatchConfig(args.tolerance_c)
     ivset = None
     if args.iv_set:
         ivset = _parse_ivset(args.iv_set, spec.n_instruments)
@@ -312,13 +289,11 @@ def cmd_surface(args):
     if spec.n_instruments != 1 or spec.n_covariates != 1:
         raise ConfigError("surface sweeps need a one-covariate, "
                           "one-instrument spec template")
-    gammas = _parse_values(_opt(args, "gamma", "-4:0.2:4"))
-    rhos = _parse_values(_opt(args, "rho", "-0.99:0.05:0.99"))
-    betas = _parse_values(_opt(args, "beta", "0.05,0.25,0.45"))
+    gammas, rhos, betas = (_parse_values(t) for t in (args.gamma, args.rho, args.beta))
     x = _one_point(args, 1)
     out = _out_dir(args)
 
-    rows = surface_grid(spec, gammas, rhos, betas, x, match=_match_config(args))
+    rows = surface_grid(spec, gammas, rhos, betas, x, MatchConfig(args.tolerance_c))
     write_csv(os.path.join(out, "surface.csv"),
               ("gamma", "rho", "beta", "quantity", "value"), rows)
     print(f"surface.csv: {len(rows)} rows "
@@ -329,16 +304,17 @@ def cmd_surface(args):
 def cmd_simulate(args):
     spec = load_spec(args.spec)
     iv_sets = _collect_ivsets(args, spec.n_instruments)
-    seed = int(_opt(args, "seed", 0))
-    sizes = [int(v) for v in _parse_values(_opt(args, "sizes", "500,5000"))]
+    sizes = _parse_values(args.sizes)
+    if not all(v.is_integer() for v in sizes):
+        raise ConfigError(f"--sizes takes whole numbers, got {args.sizes!r}")
     design = McDesign(
-        spec=spec, iv_sets=iv_sets, sample_sizes=sizes,
-        replications=int(_opt(args, "replications", 200)),
+        spec=spec, iv_sets=iv_sets, sample_sizes=[int(v) for v in sizes],
+        replications=args.replications,
         x_eval=_one_point(args, spec.n_covariates),
-        seed=seed, hmue=_hmue_config(args, seed),
-        match=_match_config(args), record_sv=not args.no_sv,
+        seed=args.seed, hmue=HmueConfig(n_sim=args.hmue_sims, seed=args.seed),
+        match=MatchConfig(args.tolerance_c), record_sv=not args.no_sv,
     )
-    result = run_monte_carlo(design, workers=int(_opt(args, "workers", 1)))
+    result = run_monte_carlo(design, workers=args.workers)
     out = _out_dir(args)
 
     rows = table_rows(result)
@@ -369,9 +345,9 @@ def cmd_simulate(args):
 def cmd_estimate(args):
     data = _read_data(args.data)
     iv_sets = _collect_ivsets(args, data.n_instruments)
-    match = _match_config(args)
-    seed = int(_opt(args, "seed", 0))
-    hmue = _hmue_config(args, seed)
+    match = MatchConfig(args.tolerance_c)
+    levels = {} if args.levels is None else {"levels": tuple(_parse_values(args.levels))}
+    hmue = HmueConfig(n_sim=args.hmue_sims, seed=args.seed, **levels)
     points = _parse_points(args.x, data.n_covariates)
     out = _out_dir(args)
 
@@ -402,9 +378,7 @@ def _relevance_pvalue(fit):
 def cmd_rank_ivs(args):
     data = _read_data(args.data)
     iv_sets = _collect_ivsets(args, data.n_instruments)
-    match = _match_config(args)
-    seed = int(_opt(args, "seed", 0))
-    n_boot = int(_opt(args, "n_boot", 200))
+    hmue = HmueConfig(n_sim=args.hmue_sims, seed=args.seed)
     x = _one_point(args, data.n_covariates)
     out = _out_dir(args)
     z975 = norm_ppf(0.975)
@@ -412,10 +386,11 @@ def cmd_rank_ivs(args):
     stats = {}
     widths = {}
     for si, ivset in enumerate(iv_sets):
-        rep = estimated_report(data, ivset, x, match, _hmue_config(args, seed), grid=x)
+        # the default match: on the one row grid=x every match is exact
+        rep = estimated_report(data, ivset, x, hmue=hmue, grid=x)
         boot_seed = int(np.random.SeedSequence(
-            entropy=seed, spawn_key=(7, si)).generate_state(1, np.uint64)[0])
-        boot = bootstrap_dispersion(data, ivset, x, n_boot=n_boot, seed=boot_seed)
+            entropy=args.seed, spawn_key=(7, si)).generate_state(1, np.uint64)[0])
+        boot = bootstrap_dispersion(data, ivset, x, n_boot=args.n_boot, seed=boot_seed)
         sd = boot.sd
         half = z975 * sd if np.isfinite(sd) else math.inf
         # identification power is discontinuous at irrelevance (it drops
@@ -553,17 +528,16 @@ def weighted_summary(curves, iv_names):
 def cmd_empirical(args):
     data = _read_data(args.data)
     iv_sets = _collect_ivsets(args, data.n_instruments)
-    match = _match_config(args)
-    bw_text = _opt(args, "bandwidth", "silverman")
-    if bw_text == "silverman":
+    match = MatchConfig(args.tolerance_c)
+    if args.bandwidth == "silverman":
         bandwidth = None
     else:
         try:
-            bandwidth = float(bw_text)
+            bandwidth = float(args.bandwidth)
         except ValueError:
             raise ConfigError("--bandwidth takes a number or 'silverman'") from None
-        if bandwidth <= 0.0:
-            raise ConfigError("--bandwidth must be positive")
+        if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+            raise ConfigError("--bandwidth must be positive and finite")
     out = _out_dir(args)
 
     stage1, fits, bw, grid, weights, curves = empirical_curves(
@@ -591,114 +565,134 @@ def cmd_empirical(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with defaults for any flag")
-    common.add_argument("--out", help="output directory (default: current)")
-    common.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    common.add_argument("--tolerance-c", type=float, dest="tolerance_c",
-                        help="propensity matching tolerance, finite and >= 0 "
-                             "(default 0.01)")
-    common.add_argument("--levels", help="correction levels, e.g. 0.5,0.9,0.95")
+class _Append(argparse.Action):
+    """A repeatable flag; command-line values replace a --config list."""
 
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
+
+
+# every flag once, by dest (the flag is --dest with "-" for "_"), with its default
+_FLAGS = {
+    "config": dict(help="JSON object of defaults for the command's flags, keyed by dest"),
+    "out": dict(default=".", help="output directory (default: current)"),
+    "spec": dict(required=True, help="DgpSpec JSON file"),
+    "data": dict(required=True, help="dataset CSV with y,d,x*,z* columns"),
+    "x": dict(action=_Append, help="evaluation point, comma-separated (default: zeros)"),
+    "iv_set": dict(action=_Append, help="instrument set NAME:COLS[:RECODES]; repeatable"),
+    "standard_sets": dict(action="store_true", help="the 5 standard sets of 3 instruments"),
+    "tolerance_c": dict(type=float, default=0.01, help="propensity matching tolerance, "
+                                                       "finite and >= 0 (default 0.01)"),
+    "hmue_sims": dict(type=int, default=1000, help="draws per correction (default 1000)"),
+    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "no_sv": dict(action="store_true", help="skip the covariate layer (widest bounds only)"),
+    "levels": dict(help="correction levels (default 0.5,0.9,0.95,0.99)"),
+    "gamma": dict(default="-4:0.2:4", help="grid start:step:stop or comma list"),
+    "rho": dict(default="-0.99:0.05:0.99", help="grid start:step:stop or comma list"),
+    "beta": dict(default="0.05,0.25,0.45", help="comma list of outcome slopes"),
+    "sizes": dict(default="500,5000", help="whole sample sizes (default 500,5000)"),
+    "replications": dict(type=int, default=200, help="replicates per size (default 200)"),
+    "workers": dict(type=int, default=1, help="worker processes (default 1)"),
+    "n_boot": dict(type=int, default=200, help="bootstrap replicates (default 200)"),
+    "bandwidth": dict(default="silverman", help="kernel bandwidth, or 'silverman' (default)"),
+}
+
+# each command's flags besides config, out and dgp-bounds' --iv-set: those it reads
+_COMMANDS = {
+    "dgp-bounds": (cmd_dgp_bounds, "population bounds and decomposition from a model spec",
+                   "spec x tolerance_c"),
+    "surface": (cmd_surface, "population surfaces over (gamma, rho, beta) grids",
+                "spec x gamma rho beta tolerance_c"),
+    "simulate": (cmd_simulate, "Monte Carlo replication of the estimation pipeline",
+                 "spec x iv_set standard_sets sizes replications hmue_sims seed workers "
+                 "no_sv tolerance_c"),
+    "estimate": (cmd_estimate, "corrected bound estimates from a dataset CSV",
+                 "data x iv_set standard_sets hmue_sims seed levels no_sv tolerance_c"),
+    "rank-ivs": (cmd_rank_ivs, "rank instrument sets by estimated identification power",
+                 "data x iv_set standard_sets hmue_sims seed n_boot"),
+    "empirical": (cmd_empirical, "bounds along a propensity index, kernel-weighted",
+                  "data iv_set standard_sets bandwidth tolerance_c"),
+}
+
+
+def _build_parser():
+    """The ivpower parser and its subcommand parsers by name.  Each flag is
+    one action, built once and shared by every command that reads it."""
+    flags = argparse.ArgumentParser(add_help=False)
+    actions = {dest: flags.add_argument("--" + dest.replace("_", "-"), **kwargs)
+               for dest, kwargs in _FLAGS.items()}
     parser = argparse.ArgumentParser(
         prog="ivpower",
         description="Treatment-effect bounds and instrument identification power")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help, dests) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for dest in ["config", "out", *dests.split()]:
+            p._add_action(actions[dest])
+        p.set_defaults(func=func)
+    # dgp-bounds reports one instrument set
+    sub.choices["dgp-bounds"].add_argument("--iv-set", help="instrument set NAME:COLS[:RECODES]")
+    return parser, sub.choices
 
-    p = sub.add_parser("dgp-bounds", parents=[common],
-                       help="population bounds and decomposition from a model spec")
-    p.add_argument("--spec", required=True, help="DgpSpec JSON file")
-    p.add_argument("--x", action="append",
-                   help="evaluation covariate point, comma-separated; repeatable")
-    p.add_argument("--iv-set", help="instrument subset as NAME:COL,...[:RECODE,...]")
-    p.set_defaults(func=cmd_dgp_bounds)
 
-    p = sub.add_parser("surface", parents=[common],
-                       help="population surfaces over (gamma, rho, beta) grids")
-    p.add_argument("--spec", required=True, help="one-instrument spec template JSON")
-    p.add_argument("--gamma", help="grid start:step:stop or comma list")
-    p.add_argument("--rho", help="grid start:step:stop or comma list")
-    p.add_argument("--beta", help="comma list of outcome slopes")
-    p.add_argument("--x", action="append", help="evaluation covariate point")
-    p.set_defaults(func=cmd_surface)
+def _config_value(action, value):
+    """A --config value as its flag parses it: a bool for a switch, a list
+    for a repeatable flag, else a string or number; else TypeError or ValueError."""
+    def parse(item):
+        if type(item) not in (str, int, float):
+            raise TypeError
+        return action.type(str(item)) if action.type else str(item)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="Monte Carlo replication of the estimation pipeline")
-    p.add_argument("--spec", required=True, help="DgpSpec JSON file")
-    p.add_argument("--iv-set", action="append",
-                   help="instrument subset NAME:COL,...[:RECODE,...]; repeatable")
-    p.add_argument("--standard-sets", action="store_true",
-                   help="use the five standard subsets of three instruments")
-    p.add_argument("--sizes", help="sample sizes, e.g. 500,5000")
-    p.add_argument("--replications", type=int, help="replicates per size (default 200)")
-    p.add_argument("--hmue-sims", type=int, dest="hmue_sims",
-                   help="parameter draws per correction (default 1000)")
-    p.add_argument("--workers", type=int, help="worker processes (default 1)")
-    p.add_argument("--no-sv", action="store_true",
-                   help="skip the covariate layer (faster; widest bounds only)")
-    p.add_argument("--x", action="append", help="evaluation covariate point")
-    p.set_defaults(func=cmd_simulate)
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise TypeError
+        return value
+    if isinstance(action, _Append):
+        if not isinstance(value, list):
+            raise TypeError
+        return [parse(item) for item in value]
+    return parse(value)
 
-    p = sub.add_parser("estimate", parents=[common],
-                       help="corrected bound estimates from a dataset CSV")
-    p.add_argument("--data", required=True, help="dataset CSV with y,d,x*,z* columns")
-    p.add_argument("--iv-set", action="append",
-                   help="instrument subset NAME:COL,...[:RECODE,...]; repeatable")
-    p.add_argument("--standard-sets", action="store_true")
-    p.add_argument("--hmue-sims", type=int, dest="hmue_sims")
-    p.add_argument("--no-sv", action="store_true")
-    p.add_argument("--x", action="append", help="evaluation covariate point")
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("rank-ivs", parents=[common],
-                       help="rank instrument sets by estimated identification power")
-    p.add_argument("--data", required=True, help="dataset CSV with y,d,x*,z* columns")
-    p.add_argument("--iv-set", action="append",
-                   help="instrument subset NAME:COL,...[:RECODE,...]; repeatable")
-    p.add_argument("--standard-sets", action="store_true")
-    p.add_argument("--n-boot", type=int, dest="n_boot",
-                   help="bootstrap replicates for dispersion (default 200)")
-    p.add_argument("--hmue-sims", type=int, dest="hmue_sims")
-    p.add_argument("--x", action="append", help="evaluation covariate point")
-    p.set_defaults(func=cmd_rank_ivs)
-
-    p = sub.add_parser("empirical", parents=[common],
-                       help="two-stage pipeline: propensity index, per-index "
-                            "bounds, kernel-weighted averages")
-    p.add_argument("--data", required=True, help="dataset CSV with y,d,x*,z* columns")
-    p.add_argument("--iv-set", action="append",
-                   help="instrument subset NAME:COL,...[:RECODE,...]; repeatable")
-    p.add_argument("--standard-sets", action="store_true")
-    p.add_argument("--bandwidth", help="kernel bandwidth or 'silverman' (default)")
-    p.set_defaults(func=cmd_empirical)
-
-    return parser
+def _apply_config(command, path):
+    """Make the JSON object in ``path`` the defaults of ``command``'s flags."""
+    config = _load_json(path, "config file")
+    if not isinstance(config, dict):
+        raise ConfigError("config file must hold a JSON object")
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    for key, value in config.items():
+        if key not in actions:
+            raise ConfigError(f"config file {path!r}: unknown key {key!r}; "
+                              f"{command.prog} takes {', '.join(sorted(actions))}")
+        action = actions[key]
+        try:
+            command.set_defaults(**{key: _config_value(action, value)})
+        except (TypeError, ValueError):
+            raise ConfigError(f"config file {path!r}: {value!r} is not a value "
+                              f"of {action.option_strings[0]}") from None
+        action.required = False
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        config = {}
-        if args.config:
-            payload = _load_json(args.config, "config file")
-            if not isinstance(payload, dict):
-                raise ConfigError("config file must hold a JSON object")
-            config = payload
-        args._config = config
+        if argv and argv[0] in commands:
+            # read --config ahead of the full parse: it can supply required flags
+            pre = argparse.ArgumentParser(prog=f"ivpower {argv[0]}", add_help=False)
+            pre.add_argument("--config")
+            path = pre.parse_known_args(argv[1:])[0].config
+            if path is not None:
+                _apply_config(commands[argv[0]], path)
+        args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DataError, ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, DataError):
+            return 3
+        if isinstance(exc, (RuntimeError, FloatingPointError, np.linalg.LinAlgError)):
+            return 4
         return 2
 
 

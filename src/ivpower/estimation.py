@@ -510,7 +510,7 @@ def _corrected_steps(structure, point_vals, fam_draws, quantiles):
     """
     out = {q: {} for q in quantiles}
     for name, fam in structure.families.items():
-        if fam.form in ("p_lo", "p_hi"):
+        if fam.form == "p_lo":
             continue
         v = point_vals[name]
         draws = fam_draws[name]

@@ -355,8 +355,7 @@ def table_rows(result):
 # population surfaces and rankings
 # ---------------------------------------------------------------------------
 
-def surface_grid(spec_template, gamma_grid, rho_grid, beta_values, x_eval,
-                 ivset=None, match=None):
+def surface_grid(spec_template, gamma_grid, rho_grid, beta_values, x_eval, match=None):
     """Population bound surfaces on a (gamma, rho, beta) grid.
 
     Returns long-format records {gamma, rho, beta, quantity, value} for
@@ -374,7 +373,7 @@ def surface_grid(spec_template, gamma_grid, rho_grid, beta_values, x_eval,
             for rho in rho_grid:
                 spec = replace(spec_template, beta=(float(beta),),
                                gamma=(float(gamma),), rho=float(rho))
-                rep = population_report(spec, x_eval, ivset, match)
+                rep = population_report(spec, x_eval, match=match)
                 values = report_columns(rep)
                 values["sign"] = math.nan if rep.sign is None else float(rep.sign)
                 for quantity in REPORT_COLUMNS:

@@ -483,3 +483,135 @@ def test_empirical_command(tmp_path, data_path):
 
     assert main(["empirical", "--data", data_path, "--bandwidth", "junk"]) == 2
     assert main(["empirical", "--data", data_path, "--bandwidth", "-1"]) == 2
+
+
+# each subcommand's flag dests besides help, config and out
+COMMAND_FLAGS = {
+    "dgp-bounds": {"spec", "x", "iv_set", "tolerance_c"},
+    "surface": {"spec", "x", "gamma", "rho", "beta", "tolerance_c"},
+    "simulate": {"spec", "x", "iv_set", "standard_sets", "sizes", "replications",
+                 "hmue_sims", "seed", "workers", "no_sv", "tolerance_c"},
+    "estimate": {"data", "x", "iv_set", "standard_sets", "hmue_sims", "seed", "levels",
+                 "no_sv", "tolerance_c"},
+    "rank-ivs": {"data", "x", "iv_set", "standard_sets", "hmue_sims", "seed", "n_boot"},
+    "empirical": {"data", "iv_set", "standard_sets", "bandwidth", "tolerance_c"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    _, commands = cli._build_parser()
+    assert set(commands) == set(COMMAND_FLAGS)
+    for name, parser in commands.items():
+        dests = {action.dest for action in parser._actions}
+        assert dests == COMMAND_FLAGS[name] | {"help", "config", "out"}, name
+
+
+def _source(command, spec_path, data_path):
+    if "spec" in COMMAND_FLAGS[command]:
+        return ["--spec", spec_path]
+    return ["--data", data_path]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("dgp-bounds", "--seed=1"), ("surface", "--seed=1"), ("empirical", "--seed=1"),
+    ("dgp-bounds", "--levels=0.5"), ("surface", "--levels=0.5"),
+    ("empirical", "--levels=0.5"), ("simulate", "--levels=0.5"),
+    ("rank-ivs", "--levels=0.5"), ("rank-ivs", "--tolerance-c=0.3"),
+])
+def test_flags_a_command_does_not_read_exit_2(command, flag, spec_path, data_path,
+                                              tmp_path, capsys):
+    # these were accepted and changed no output byte
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_source(command, spec_path, data_path), flag,
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _outputs(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _run(argv, out, capsys):
+    assert main(argv + ["--out", str(out)]) == 0
+    return _outputs(out), capsys.readouterr().out
+
+
+def _config(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, flags, config", [
+    ("dgp-bounds", ["--x=-1", "--x=0.5", "--iv-set=z12:1,2"],
+     {"x": ["-1", 0.5], "iv_set": "z12:1,2"}),
+    ("estimate", ["--standard-sets", "--no-sv", "--hmue-sims=100", "--x=0", "--seed=3"],
+     {"standard_sets": True, "no_sv": True, "hmue_sims": 100, "x": [0], "seed": 3}),
+    ("simulate", ["--iv-set=z1:1", "--iv-set=z12:1,2", "--sizes=300", "--replications=1",
+                  "--hmue-sims=100", "--no-sv", "--tolerance-c=0.3"],
+     {"iv_set": ["z1:1", "z12:1,2"], "sizes": 300, "replications": 1, "hmue_sims": 100,
+      "no_sv": True, "tolerance_c": 0.3}),
+])
+def test_config_gives_the_bytes_of_the_flags(command, flags, config, spec_path, data_path,
+                                            tmp_path, capsys):
+    source = _source(command, spec_path, data_path)
+    want = _run([command, *source, *flags], tmp_path / "flags", capsys)
+    # the spec or data file comes from the config too
+    path = _config(tmp_path, "config.json", {**config, source[0][2:]: source[1]})
+    assert _run([command, "--config", path], tmp_path / "config", capsys) == want
+
+
+def test_command_line_replaces_the_config_list(tmp_path, spec_path, capsys):
+    path = _config(tmp_path, "config.json", {"spec": spec_path, "x": ["0", "0.5"]})
+    want = _run(["dgp-bounds", "--spec", spec_path, "--x=1"], tmp_path / "flags", capsys)
+    assert _run(["dgp-bounds", "--config", path, "--x=1"], tmp_path / "config",
+                capsys) == want
+    assert [doc["x"] for doc in json.loads(want[0]["bounds.json"])] == [[1.0]]
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("dgp-bounds", {"toleranse_c": 0.3}, "unknown key 'toleranse_c'"),
+    ("dgp-bounds", {"seed": 1}, "unknown key 'seed'"),
+    ("dgp-bounds", {"config": "other.json"}, "unknown key 'config'"),
+    ("rank-ivs", {"tolerance_c": 0.3}, "unknown key 'tolerance_c'"),
+    ("dgp-bounds", {"tolerance_c": "abc"}, "'abc' is not a value of --tolerance-c"),
+    ("dgp-bounds", {"tolerance_c": True}, "True is not a value of --tolerance-c"),
+    ("dgp-bounds", {"x": "0"}, "'0' is not a value of --x"),
+    ("dgp-bounds", {"x": [[0]]}, "[[0]] is not a value of --x"),
+    ("dgp-bounds", {"iv_set": ["z1:1"]}, "['z1:1'] is not a value of --iv-set"),
+    ("dgp-bounds", {"out": None}, "None is not a value of --out"),
+    ("simulate", {"seed": 1.5}, "1.5 is not a value of --seed"),
+    ("simulate", {"no_sv": "true"}, "'true' is not a value of --no-sv"),
+    ("dgp-bounds", {"tolerance_c": -1}, "tolerance_c must be finite and >= 0"),
+])
+def test_bad_config_keys_and_values_exit_2(command, config, message, spec_path, data_path,
+                                           tmp_path, capsys):
+    path = _config(tmp_path, "config.json", config)
+    out = tmp_path / "out"
+    assert main([command, *_source(command, spec_path, data_path), "--config", path,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("sizes", ["300.9", "300,600.5", "inf", "nan"])
+def test_simulate_sizes_must_be_whole(sizes, spec_path, tmp_path, capsys):
+    # 300.9 ran n = 300 and recorded [300] in simulation.json
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", spec_path, "--iv-set=z1:1", f"--sizes={sizes}",
+                 "--replications=1", "--hmue-sims=100", "--no-sv", "--out", str(out)]) == 2
+    assert "--sizes takes whole numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bandwidth", ["nan", "inf"])
+def test_empirical_bandwidth_must_be_finite(bandwidth, data_path, tmp_path, capsys):
+    # nan wrote NaN weights and summaries and exited 0
+    out = tmp_path / "out"
+    assert main(["empirical", "--data", data_path, f"--bandwidth={bandwidth}",
+                 "--out", str(out)]) == 2
+    assert "--bandwidth must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()

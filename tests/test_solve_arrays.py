@@ -1,8 +1,8 @@
 """The array-built grid stage of the solve against plain-loop copies.
 
-`bounds._solve` matches propensities, builds the sup/inf families and
-runs the pairwise sign check as whole-array operations over the T
-own-support groups and G grid rows.  The loops below are the per-row
+`bounds.build_structure` matches propensities, builds the sup/inf
+families and runs the pairwise sign check as whole-array operations over
+the T own-support groups and G grid rows.  The loops below are the per-row
 formulation they replaced, kept as the reference: on the same inputs the
 family (t, g, j) arrays and the mismatch list must come out identical.
 """
@@ -144,7 +144,7 @@ def test_grid_stage_matches_the_loops(spec, ivsets):
             if fams is None:
                 assert not any(name.startswith(("sv_", "w_")) for name in structure.families)
                 continue
-            assert set(structure.families) == set(fams) | {"marg_L", "marg_U", "p_lo", "p_hi"}
+            assert set(structure.families) == set(fams) | {"marg_L", "marg_U", "p_lo"}
             for name, want in fams.items():
                 fam = structure.families[name]
                 for got, exp in zip((fam.t, fam.g, fam.j), want):
