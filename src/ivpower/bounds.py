@@ -66,6 +66,7 @@ __all__ = [
     "MatchConfig",
     "BoundsReport",
     "REPORT_COLUMNS",
+    "NUMERIC_COLUMNS",
     "report_columns",
     "SupportPartition",
     "default_covariate_grid",
@@ -415,6 +416,8 @@ def _h_sign_check(structure, arrays):
 # the tabulated quantities of a report, in output column order
 REPORT_COLUMNS = ("L_M", "U_M", "L_bar", "U_bar", "L_SV", "U_SV",
                   "sign", "C1", "C2", "C3", "C4", "IIP")
+# the report columns that average, over replicates or along a curve
+NUMERIC_COLUMNS = tuple(c for c in REPORT_COLUMNS if c != "sign")
 
 
 @dataclass(frozen=True)

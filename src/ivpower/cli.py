@@ -24,7 +24,8 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import chi2
 
-from .bounds import REPORT_COLUMNS, MatchConfig, population_report, report_columns
+from .bounds import (NUMERIC_COLUMNS, REPORT_COLUMNS, MatchConfig, population_report,
+                     report_columns)
 from .dgp import IvSet, spec_from_dict, spec_to_dict
 from .estimation import (
     GRID_LEVELS, Dataset, EstimatedReport, HmueConfig,
@@ -199,11 +200,18 @@ def _parse_points(texts, k):
     return points
 
 
+def _once(args, dest, what):
+    """The values of a repeatable flag that ``args.command`` takes at most once."""
+    values = getattr(args, dest) or []
+    if len(values) > 1:
+        raise ConfigError(f"{args.command} takes one {what}: "
+                          f"give --{dest.replace('_', '-')} once")
+    return values
+
+
 def _one_point(args, k):
     """The single evaluation point of a command that takes one --x."""
-    if len(args.x or ()) > 1:
-        raise ConfigError(f"{args.command} takes one evaluation point: give --x once")
-    return _parse_points(args.x, k)[0]
+    return _parse_points(_once(args, "x", "evaluation point"), k)[0]
 
 
 def _parse_ivset(text, n_instruments):
@@ -268,9 +276,8 @@ def _echo_report(rep, label):
 def cmd_dgp_bounds(args):
     spec = load_spec(args.spec)
     match = MatchConfig(args.tolerance_c)
-    ivset = None
-    if args.iv_set:
-        ivset = _parse_ivset(args.iv_set, spec.n_instruments)
+    texts = _once(args, "iv_set", "instrument set")
+    ivset = _parse_ivset(texts[0], spec.n_instruments) if texts else None
     points = _parse_points(args.x, spec.n_covariates)
     out = _out_dir(args)
 
@@ -512,14 +519,13 @@ def empirical_curves(data, iv_sets, match, bandwidth=None):
 
 def weighted_summary(curves, iv_names):
     """Kernel-weighted averages of every numeric curve column per set."""
-    numeric = [c for c in REPORT_COLUMNS if c != "sign"]
     rows = []
     for name in iv_names:
         sub = [row for row in curves if row["iv_set"] == name]
         wts = np.array([row["weight"] for row in sub])
         wts = wts / wts.sum()
         out = {"iv_set": name}
-        for col in numeric:
+        for col in NUMERIC_COLUMNS:
             out[col] = float(np.dot(wts, [row[col] for row in sub]))
         rows.append(out)
     return rows
@@ -580,7 +586,8 @@ _FLAGS = {
     "spec": dict(required=True, help="DgpSpec JSON file"),
     "data": dict(required=True, help="dataset CSV with y,d,x*,z* columns"),
     "x": dict(action=_Append, help="evaluation point, comma-separated (default: zeros)"),
-    "iv_set": dict(action=_Append, help="instrument set NAME:COLS[:RECODES]; repeatable"),
+    "iv_set": dict(action=_Append, help="instrument set NAME:COLS[:RECODES]; "
+                                        "repeatable, once on dgp-bounds"),
     "standard_sets": dict(action="store_true", help="the 5 standard sets of 3 instruments"),
     "tolerance_c": dict(type=float, default=0.01, help="propensity matching tolerance, "
                                                        "finite and >= 0 (default 0.01)"),
@@ -598,10 +605,10 @@ _FLAGS = {
     "bandwidth": dict(default="silverman", help="kernel bandwidth, or 'silverman' (default)"),
 }
 
-# each command's flags besides config, out and dgp-bounds' --iv-set: those it reads
+# each command's flags besides config and out: those it reads
 _COMMANDS = {
     "dgp-bounds": (cmd_dgp_bounds, "population bounds and decomposition from a model spec",
-                   "spec x tolerance_c"),
+                   "spec x iv_set tolerance_c"),
     "surface": (cmd_surface, "population surfaces over (gamma, rho, beta) grids",
                 "spec x gamma rho beta tolerance_c"),
     "simulate": (cmd_simulate, "Monte Carlo replication of the estimation pipeline",
@@ -631,8 +638,6 @@ def _build_parser():
         for dest in ["config", "out", *dests.split()]:
             p._add_action(actions[dest])
         p.set_defaults(func=func)
-    # dgp-bounds reports one instrument set
-    sub.choices["dgp-bounds"].add_argument("--iv-set", help="instrument set NAME:COLS[:RECODES]")
     return parser, sub.choices
 
 

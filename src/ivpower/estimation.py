@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .bounds import (
+    BoundsReport,
     Interval,
     assemble,
     ate_signs,
@@ -461,31 +462,16 @@ def fit_set(data, ivset):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EstimatedReport:
+class EstimatedReport(BoundsReport):
     """Corrected bound estimates at one covariate value.
 
-    The headline fields mirror the population report and carry the
-    half-median-unbiased values (level 0.5); the plug-in estimates are
-    kept under ``point_*``.  ``levels`` maps each configured level to
-    outward-corrected intervals, ``flip_rate`` is the share of parameter
-    draws whose implied ATE sign disagrees with the frozen
-    point-estimate sign.
+    The `BoundsReport` fields carry the half-median-unbiased values
+    (level 0.5); the plug-in estimates are kept under ``point_*``.
+    ``levels`` maps each configured level to outward-corrected intervals,
+    ``flip_rate`` is the share of parameter draws whose implied ATE sign
+    disagrees with the frozen point-estimate sign.
     """
 
-    x: tuple
-    sign: object
-    irrelevant: bool
-    manski: Interval
-    widest: Interval
-    sv: Interval
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    iip: float
-    cps_lo: float
-    cps_hi: float
-    ate_model: float
     point_manski: Interval
     point_widest: Interval
     point_sv: Interval

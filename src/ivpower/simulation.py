@@ -2,9 +2,11 @@
 
 Draws i.i.d. samples from a `DgpSpec`, replicates the fit-and-correct
 pipeline over sample sizes and instrument sets with one RNG stream per
-(sample size, replicate, instrument set), and aggregates replication
-averages and distances to the population bounds.  Also sweeps population
-surfaces over (gamma, rho, beta) grids for figure data.
+(sample size, replicate, instrument set), and averages per cell the
+report columns (`NUMERIC_COLUMNS`), the plug-in IIP, the sign flip rate
+and the Hausdorff distances to the population bounds into one ``means``
+dict.  Also sweeps population surfaces over (gamma, rho, beta) grids for
+figure data.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import partial
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .bounds import (REPORT_COLUMNS, Interval, MatchConfig, population_report,
+from .bounds import (NUMERIC_COLUMNS, REPORT_COLUMNS, MatchConfig, population_report,
                      report_columns)
 from .dgp import DgpSpec, Discrete, IvSet, JointDiscrete, Normal
 from .estimation import Dataset, HmueConfig, estimated_report, hausdorff_interval
@@ -29,6 +31,7 @@ __all__ = [
     "McDesign",
     "McRecord",
     "McCell",
+    "CELL_COLUMNS",
     "McResult",
     "model2_spec",
     "model3_spec",
@@ -153,6 +156,8 @@ class McDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "iv_sets", tuple(self.iv_sets))
+        if not all(float(n).is_integer() for n in self.sample_sizes):
+            raise ValueError("sample sizes must be whole numbers")
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "x_eval", tuple(np.atleast_1d(self.x_eval).astype(float)))
         if self.replications < 1:
@@ -178,24 +183,29 @@ class McRecord:
     hausdorff_sv: float = math.nan
 
 
+# a cell's averages: the report columns, then the replicate-only ones
+CELL_COLUMNS = NUMERIC_COLUMNS + ("IIP_point", "dH_M", "dH_SV", "flip_rate")
+
+
 @dataclass(frozen=True)
 class McCell:
-    """Replication averages for one (instrument set, sample size)."""
+    """Replication averages for one (instrument set, sample size).
+
+    ``means`` maps each of `CELL_COLUMNS` to its average over the
+    successful replicates, NaN when none succeeded; dH_SV is NaN when
+    the design skips the covariate layer.  ``iip_draws`` holds the
+    per-replicate IIP values."""
 
     iv_name: str
     n: int
     n_ok: int
     n_failed: int
-    mean_manski: Interval
-    mean_widest: Interval
-    mean_sv: Interval
-    mean_c: tuple
-    mean_iip: float
-    mean_point_iip: float
-    mean_flip_rate: float
-    mean_hausdorff_manski: float
-    mean_hausdorff_sv: float
+    means: dict
     iip_draws: np.ndarray
+
+    @property
+    def mean_iip(self):
+        return self.means["IIP"]
 
 
 @dataclass(frozen=True)
@@ -298,29 +308,14 @@ def run_monte_carlo(design, workers=1):
         for ivs in design.iv_sets:
             sub = [rec for rec in records if rec.n == n and rec.iv_name == ivs.name]
             ok = [rec for rec in sub if not rec.failed]
-            reps = [rec.report for rec in ok]
-
-            def mean(get):
-                return float(np.mean([get(rep) for rep in reps])) if reps else math.nan
-
+            values = [{**report_columns(rec.report), "IIP_point": rec.report.point_iip,
+                       "dH_M": rec.hausdorff_manski, "dH_SV": rec.hausdorff_sv,
+                       "flip_rate": rec.report.flip_rate} for rec in ok]
             cells[ivs.name, n] = McCell(
                 iv_name=ivs.name, n=n, n_ok=len(ok), n_failed=len(sub) - len(ok),
-                mean_manski=Interval(mean(lambda s: s.manski.lower),
-                                     mean(lambda s: s.manski.upper)),
-                mean_widest=Interval(mean(lambda s: s.widest.lower),
-                                     mean(lambda s: s.widest.upper)),
-                mean_sv=Interval(mean(lambda s: s.sv.lower),
-                                 mean(lambda s: s.sv.upper)),
-                mean_c=(mean(lambda s: s.c1), mean(lambda s: s.c2),
-                        mean(lambda s: s.c3), mean(lambda s: s.c4)),
-                mean_iip=mean(lambda s: s.iip),
-                mean_point_iip=mean(lambda s: s.point_iip),
-                mean_flip_rate=mean(lambda s: s.flip_rate),
-                mean_hausdorff_manski=(float(np.mean([rec.hausdorff_manski for rec in ok]))
-                                       if ok else math.nan),
-                mean_hausdorff_sv=(float(np.mean([rec.hausdorff_sv for rec in ok]))
-                                   if ok and design.record_sv else math.nan),
-                iip_draws=np.array([rep.iip for rep in reps]),
+                means={col: float(np.mean([v[col] for v in values])) if ok else math.nan
+                       for col in CELL_COLUMNS},
+                iip_draws=np.array([rec.report.iip for rec in ok]),
             )
 
     n_failed = sum(rec.failed for rec in records)
@@ -334,21 +329,9 @@ def run_monte_carlo(design, workers=1):
 
 def table_rows(result):
     """Flatten an McResult into wide table rows (one per set and size)."""
-    rows = []
-    for (name, n), cell in result.cells.items():
-        rows.append({
-            "iv_set": name, "n": n,
-            "replications": cell.n_ok, "failures": cell.n_failed,
-            "L_M": cell.mean_manski.lower, "U_M": cell.mean_manski.upper,
-            "L_bar": cell.mean_widest.lower, "U_bar": cell.mean_widest.upper,
-            "L_SV": cell.mean_sv.lower, "U_SV": cell.mean_sv.upper,
-            "C1": cell.mean_c[0], "C2": cell.mean_c[1],
-            "C3": cell.mean_c[2], "C4": cell.mean_c[3],
-            "IIP": cell.mean_iip, "IIP_point": cell.mean_point_iip,
-            "dH_M": cell.mean_hausdorff_manski, "dH_SV": cell.mean_hausdorff_sv,
-            "flip_rate": cell.mean_flip_rate,
-        })
-    return rows
+    return [{"iv_set": name, "n": n, "replications": cell.n_ok,
+             "failures": cell.n_failed, **cell.means}
+            for (name, n), cell in result.cells.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +380,8 @@ def rank_iv_sets(result, n=None):
         n = result.design.sample_sizes[0]
     entries = []
     for ivs in result.design.iv_sets:
-        cell = result.cells[ivs.name, n]
-        entries.append((ivs.name, cell.mean_iip, cell.mean_sv.width))
+        means = result.cells[ivs.name, n].means
+        entries.append((ivs.name, means["IIP"], means["U_SV"] - means["L_SV"]))
     return rank_entries(entries)
 
 

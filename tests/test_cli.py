@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -86,6 +87,12 @@ def test_collect_ivsets():
 
 
 _REPORT_FLOATS = ("c1", "c2", "c3", "c4", "iip", "cps_lo", "cps_hi", "ate_model")
+# the JSON keys in the order report_to_dict writes them
+_POPULATION_KEYS = ["kind", "x", "sign", "irrelevant", "manski", "widest", "sv",
+                    *_REPORT_FLOATS]
+_ESTIMATED_KEYS = _POPULATION_KEYS + ["point_manski", "point_widest", "point_sv",
+                                      "point_iip", "levels", "flip_rate", "fit", "spec",
+                                      "iv_name"]
 
 
 def _json(obj):
@@ -106,8 +113,7 @@ def _assert_scalars(doc, rep, names):
 def test_population_report_json_fields():
     rep = population_report(SPEC, (0.0,))
     doc = _json(report_to_dict(rep))
-    assert set(doc) == {"kind", "x", "sign", "irrelevant", "manski", "widest", "sv",
-                        *_REPORT_FLOATS}
+    assert list(doc) == _POPULATION_KEYS
     assert doc["kind"] == "population"
     assert doc["x"] == list(rep.x)
     assert (doc["sign"], doc["irrelevant"]) == (rep.sign, rep.irrelevant)
@@ -118,6 +124,8 @@ def test_population_report_json_fields():
 def test_estimated_report_json_fields(sample_report):
     rep = sample_report
     doc = _json(report_to_dict(rep))
+    assert list(doc) == _ESTIMATED_KEYS
+    assert [f.name for f in dataclasses.fields(rep)] == _ESTIMATED_KEYS[1:]
     assert doc["kind"] == "estimated"
     assert doc["x"] == list(rep.x)
     assert (doc["sign"], doc["irrelevant"]) == (rep.sign, rep.irrelevant)
@@ -245,6 +253,17 @@ def _model2_spec_file(tmp_path, **fields):
     path = tmp_path / "model2.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_dgp_bounds_takes_one_instrument_set(tmp_path, spec_path, capsys):
+    # every --iv-set but the last was dropped without a word
+    out = tmp_path / "out"
+    assert main(["dgp-bounds", "--spec", spec_path, "--iv-set", "z1:1",
+                 "--iv-set", "z12:1,2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "dgp-bounds takes one instrument set: give --iv-set once" in err
+    assert not out.exists()
 
 
 def test_rho_at_one_exits_2(tmp_path, capsys):
@@ -546,7 +565,7 @@ def _config(tmp_path, name, payload):
 
 @pytest.mark.parametrize("command, flags, config", [
     ("dgp-bounds", ["--x=-1", "--x=0.5", "--iv-set=z12:1,2"],
-     {"x": ["-1", 0.5], "iv_set": "z12:1,2"}),
+     {"x": ["-1", 0.5], "iv_set": ["z12:1,2"]}),
     ("estimate", ["--standard-sets", "--no-sv", "--hmue-sims=100", "--x=0", "--seed=3"],
      {"standard_sets": True, "no_sv": True, "hmue_sims": 100, "x": [0], "seed": 3}),
     ("simulate", ["--iv-set=z1:1", "--iv-set=z12:1,2", "--sizes=300", "--replications=1",
@@ -580,7 +599,7 @@ def test_command_line_replaces_the_config_list(tmp_path, spec_path, capsys):
     ("dgp-bounds", {"tolerance_c": True}, "True is not a value of --tolerance-c"),
     ("dgp-bounds", {"x": "0"}, "'0' is not a value of --x"),
     ("dgp-bounds", {"x": [[0]]}, "[[0]] is not a value of --x"),
-    ("dgp-bounds", {"iv_set": ["z1:1"]}, "['z1:1'] is not a value of --iv-set"),
+    ("dgp-bounds", {"iv_set": "z1:1"}, "'z1:1' is not a value of --iv-set"),
     ("dgp-bounds", {"out": None}, "None is not a value of --out"),
     ("simulate", {"seed": 1.5}, "1.5 is not a value of --seed"),
     ("simulate", {"no_sv": "true"}, "'true' is not a value of --no-sv"),

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 import ivpower.simulation as sim
+from ivpower.bounds import report_columns
 from ivpower.dgp import DgpSpec, Discrete, IvSet, Normal
 from ivpower.estimation import HmueConfig
 from ivpower.gaussian import rng_stream
@@ -106,6 +107,16 @@ def test_mc_design_validation():
                  sample_sizes=(100,), replications=1)
 
 
+@pytest.mark.parametrize("sizes", [(300.9,), (100, 2.5), (math.inf,), (math.nan,)])
+def test_mc_design_rejects_sample_sizes_that_are_not_whole(sizes):
+    # 300.9 was truncated to n = 300 without a word
+    with pytest.raises(ValueError, match="whole numbers"):
+        McDesign(spec=model3_spec(), iv_sets=standard_iv_sets()[:1],
+                 sample_sizes=sizes, replications=1)
+    assert McDesign(spec=model3_spec(), iv_sets=standard_iv_sets()[:1],
+                    sample_sizes=(300.0, np.int64(600)), replications=1).sample_sizes == (300, 600)
+
+
 def _small_design(replications=3):
     return McDesign(spec=model3_spec(rho=0.5, covariate="normal"),
                     iv_sets=standard_iv_sets()[:2], sample_sizes=(400,),
@@ -136,7 +147,9 @@ def _assert_identical(a, b, path="record"):
 
 
 def _assert_same_results(res, ref):
-    assert table_rows(res) == table_rows(ref)
+    # not ==: a NaN mean such as dH_SV without the covariate layer is a
+    # fresh float, and dict == matches NaN only by identity
+    _assert_identical(table_rows(res), table_rows(ref), "rows")
     assert res.failure_alarm == ref.failure_alarm
     assert len(res.records) == len(ref.records)
     for rec, want in zip(res.records, ref.records):
@@ -163,8 +176,9 @@ def test_run_monte_carlo_worker_count_does_not_change_results():
 
     # cell means are plain averages of the per-replicate reports
     reps = [r.report for r in res1.records if r.iv_name == "z1"]
-    assert cell.mean_iip == pytest.approx(np.mean([s.iip for s in reps]), rel=1e-15)
-    assert cell.mean_sv.lower == pytest.approx(
+    assert cell.means["IIP"] == pytest.approx(np.mean([s.iip for s in reps]), rel=1e-15)
+    assert cell.mean_iip == cell.means["IIP"]
+    assert cell.means["L_SV"] == pytest.approx(
         np.mean([s.sv.lower for s in reps]), rel=1e-15)
 
     ks = compare_iip_distributions(res1, "z1", "z2", 400)
@@ -250,7 +264,7 @@ def test_run_monte_carlo_failure_accounting(monkeypatch):
     cell = res.cells["z1", 400]
     assert (cell.n_ok, cell.n_failed) == (58, 2)
     assert cell.iip_draws.shape == (58,)
-    assert cell.mean_iip == pytest.approx(rep0.iip, rel=1e-15)
+    assert cell.means["IIP"] == pytest.approx(rep0.iip, rel=1e-15)
     failed = [r for r in res.records if r.failed]
     assert len(failed) == 2
     assert all(r.error == "injected fit failure" for r in failed)
@@ -271,23 +285,32 @@ def test_run_monte_carlo_failure_accounting(monkeypatch):
                                                    bad=frozenset(range(60))))
     with pytest.warns(RuntimeWarning):
         res = run_monte_carlo(design)
-    assert math.isnan(res.cells["z1", 400].mean_iip)
+    means = res.cells["z1", 400].means
+    assert list(means) == list(sim.CELL_COLUMNS)
+    assert all(math.isnan(v) for v in means.values())
     with pytest.raises(ValueError, match="no successful replicates"):
         compare_iip_distributions(res, "z1", "z1", 400)
 
 
 def test_table_rows_columns():
-    design = _small_design(replications=1)
-    rows = table_rows(run_monte_carlo(design))
+    design = _small_design(replications=2)
+    result = run_monte_carlo(design)
+    rows = table_rows(result)
     assert len(rows) == 2
-    expected = {"iv_set", "n", "replications", "failures", "L_M", "U_M",
+    expected = ["iv_set", "n", "replications", "failures", "L_M", "U_M",
                 "L_bar", "U_bar", "L_SV", "U_SV", "C1", "C2", "C3", "C4",
-                "IIP", "IIP_point", "dH_M", "dH_SV", "flip_rate"}
-    assert set(rows[0]) == expected
+                "IIP", "IIP_point", "dH_M", "dH_SV", "flip_rate"]
+    assert [list(row) for row in rows] == [expected, expected]
     assert {row["iv_set"] for row in rows} == {"z1", "z2"}
     for row in rows:
-        assert row["replications"] == 1 and row["failures"] == 0
+        assert row["replications"] == 2 and row["failures"] == 0
         assert row["L_M"] <= row["L_bar"] <= row["U_bar"] <= row["U_M"]
+        # each mean is the plain average of the successful reports' columns
+        reps = [rec.report for rec in result.records if rec.iv_name == row["iv_set"]]
+        for col in sim.NUMERIC_COLUMNS:
+            assert row[col] == float(np.mean([report_columns(r)[col] for r in reps])), col
+        assert row["IIP_point"] == float(np.mean([r.point_iip for r in reps]))
+        assert row["flip_rate"] == float(np.mean([r.flip_rate for r in reps]))
 
 
 def test_rank_entries_tie_breaks():
@@ -301,15 +324,11 @@ def test_rank_iv_sets_needs_explicit_n_for_multiple_sizes():
     sets = (IvSet("a", use=(0,)), IvSet("b", use=(1,)))
     design = McDesign(spec=model3_spec(), iv_sets=sets,
                       sample_sizes=(100, 200), replications=1)
-    bench = sim.Interval(-0.2, 0.8)
-
     def cell(name, n, iip, width):
-        return sim.McCell(iv_name=name, n=n, n_ok=1, n_failed=0,
-                          mean_manski=bench, mean_widest=bench,
-                          mean_sv=sim.Interval(0.0, width),
-                          mean_c=(0.1, 0.1, 0.1, width), mean_iip=iip,
-                          mean_point_iip=iip, mean_flip_rate=0.0,
-                          mean_hausdorff_manski=0.0, mean_hausdorff_sv=0.0,
+        means = dict.fromkeys(sim.CELL_COLUMNS, 0.0)
+        means.update(L_M=-0.2, U_M=0.8, L_bar=-0.2, U_bar=0.8, L_SV=0.0, U_SV=width,
+                     C1=0.1, C2=0.1, C3=0.1, C4=width, IIP=iip, IIP_point=iip)
+        return sim.McCell(iv_name=name, n=n, n_ok=1, n_failed=0, means=means,
                           iip_draws=np.array([iip]))
 
     cells = {("a", 100): cell("a", 100, 0.2, 0.5),
