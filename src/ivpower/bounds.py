@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +94,7 @@ _DRAW_CHUNK = 128
 _IIP_NODES = 64
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lower: float
     upper: float
 

@@ -26,7 +26,7 @@ from scipy.stats import chi2
 
 from .bounds import (NUMERIC_COLUMNS, REPORT_COLUMNS, MatchConfig, population_report,
                      report_columns)
-from .dgp import IvSet, spec_from_dict, spec_to_dict
+from .dgp import IvSet, spec_from_dict, to_dict
 from .estimation import (
     GRID_LEVELS, Dataset, EstimatedReport, HmueConfig,
     bootstrap_dispersion, estimated_report, fit_probit, fit_set,
@@ -54,51 +54,10 @@ class DataError(Exception):
 # report serialization
 # ---------------------------------------------------------------------------
 
-def _interval_out(iv):
-    return [float(iv.lower), float(iv.upper)]
-
-
-def fit_to_dict(fit):
-    return {
-        "names": list(fit.names),
-        "params": [float(v) for v in fit.params],
-        "loglik": float(fit.loglik),
-        "vcov": [[float(v) for v in row] for row in fit.vcov],
-        "converged": bool(fit.converged),
-        "iterations": int(fit.iterations),
-    }
-
-
 def report_to_dict(rep):
-    """JSON-ready dict for a population or estimated report."""
-    out = {
-        "kind": "estimated" if isinstance(rep, EstimatedReport) else "population",
-        "x": [float(v) for v in rep.x],
-        "sign": None if rep.sign is None else int(rep.sign),
-        "irrelevant": bool(rep.irrelevant),
-        "manski": _interval_out(rep.manski),
-        "widest": _interval_out(rep.widest),
-        "sv": _interval_out(rep.sv),
-        "c1": float(rep.c1), "c2": float(rep.c2),
-        "c3": float(rep.c3), "c4": float(rep.c4),
-        "iip": float(rep.iip),
-        "cps_lo": float(rep.cps_lo), "cps_hi": float(rep.cps_hi),
-        "ate_model": float(rep.ate_model),
-    }
-    if isinstance(rep, EstimatedReport):
-        out["point_manski"] = _interval_out(rep.point_manski)
-        out["point_widest"] = _interval_out(rep.point_widest)
-        out["point_sv"] = _interval_out(rep.point_sv)
-        out["point_iip"] = float(rep.point_iip)
-        out["levels"] = {
-            repr(float(q)): {k: _interval_out(v) for k, v in iv.items()}
-            for q, iv in rep.levels.items()
-        }
-        out["flip_rate"] = float(rep.flip_rate)
-        out["fit"] = fit_to_dict(rep.fit)
-        out["spec"] = spec_to_dict(rep.spec)
-        out["iv_name"] = rep.iv_name
-    return out
+    """JSON-ready dict for a population or estimated report: kind, then fields."""
+    kind = "estimated" if isinstance(rep, EstimatedReport) else "population"
+    return {"kind": kind, **to_dict(rep)}
 
 
 def _sign_cell(sign):
@@ -135,8 +94,9 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, payload):
+    """``payload`` in its `to_dict` form, indented two spaces."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(to_dict(payload), fh, indent=2)
         fh.write("\n")
 
 
@@ -330,10 +290,10 @@ def cmd_simulate(args):
     write_json(os.path.join(out, "simulation.json"), {
         "seed": design.seed,
         "replications": design.replications,
-        "sample_sizes": list(design.sample_sizes),
-        "x_eval": list(design.x_eval),
+        "sample_sizes": design.sample_sizes,
+        "x_eval": design.x_eval,
         "record_sv": design.record_sv,
-        "failure_alarm": bool(result.failure_alarm),
+        "failure_alarm": result.failure_alarm,
         "cells": rows,
         "truth": {name: report_to_dict(rep) for name, rep in result.truth.items()},
     })
@@ -427,10 +387,7 @@ def cmd_rank_ivs(args):
         flag = "  possibly irrelevant" if stats[name]["possibly_irrelevant"] else ""
         print(f"{rank}. {name:<12} IIP={stats[name]['IIP']:.4f} "
               f"ci=[{stats[name]['ci_lo']: .4f},{stats[name]['ci_hi']: .4f}]{flag}")
-    write_csv(os.path.join(out, "ranking.csv"),
-              ("rank", "iv_set", "IIP", "IIP_point", "boot_sd", "ci_lo",
-               "ci_hi", "relevance_p", "boot_failures",
-               "possibly_irrelevant"), rows)
+    write_csv(os.path.join(out, "ranking.csv"), tuple(rows[0]), rows)
     write_json(os.path.join(out, "ranking.json"), rows)
     return 0
 
@@ -555,10 +512,10 @@ def cmd_empirical(args):
               tuple(summary[0].keys()), summary)
     write_json(os.path.join(out, "empirical.json"), {
         "bandwidth": bw,
-        "grid": [float(g) for g in grid],
-        "weights": [float(w) for w in weights],
-        "stage1": fit_to_dict(stage1),
-        "fits": {name: fit_to_dict(fit) for name, fit in fits.items()},
+        "grid": grid,
+        "weights": weights,
+        "stage1": stage1,
+        "fits": fits,
         "summary": summary,
     })
     for row in summary:

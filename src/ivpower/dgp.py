@@ -17,7 +17,7 @@ the bound engine in `bounds` and `cps_support` both use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -37,7 +37,7 @@ __all__ = [
     "cps_support",
     "cell_probs_arrays",
     "true_ate",
-    "spec_to_dict",
+    "to_dict",
     "spec_from_dict",
 ]
 
@@ -339,22 +339,30 @@ def true_ate(spec, x):
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip (exact field names: alpha, beta, pi, gamma, rho,
-# covariate_dist, iv_dists)
+# JSON: a record is written as its fields (`to_dict`); a spec document is
+# read back with validation (`spec_from_dict`)
 # ---------------------------------------------------------------------------
 
-def _dist_to_dict(dist):
-    if isinstance(dist, Normal):
-        return {"type": "normal", "mean": dist.mean, "sd": dist.sd}
-    if isinstance(dist, Discrete):
-        return {"type": "discrete", "values": list(dist.values), "probs": list(dist.probs)}
-    if isinstance(dist, JointDiscrete):
-        return {
-            "type": "joint_discrete",
-            "values": [list(v) for v in dist.values],
-            "probs": list(dist.probs),
-        }
-    raise ValueError(f"unknown distribution {dist!r}")
+# the "type" tag of each distribution in a spec document
+_DIST_TYPES = {Normal: "normal", Discrete: "discrete", JointDiscrete: "joint_discrete"}
+
+
+def to_dict(record):
+    """JSON-ready form of a record: a dataclass is an object of its fields
+    in declaration order, led by ``"type"`` for a distribution; a dict stays
+    a dict, a tuple (a NamedTuple such as `bounds.Interval` too) or list
+    becomes a list, and an array or numpy scalar its Python value."""
+    if is_dataclass(record):
+        out = {"type": _DIST_TYPES[type(record)]} if type(record) in _DIST_TYPES else {}
+        out.update((f.name, to_dict(getattr(record, f.name))) for f in fields(record))
+        return out
+    if isinstance(record, dict):
+        return {key: to_dict(value) for key, value in record.items()}
+    if isinstance(record, (tuple, list)):
+        return [to_dict(value) for value in record]
+    if isinstance(record, (np.ndarray, np.generic)):
+        return record.tolist()
+    return record
 
 
 def _dist_from_dict(doc, where):
@@ -362,31 +370,14 @@ def _dist_from_dict(doc, where):
         kind = doc["type"]
     except (TypeError, KeyError):
         raise ValueError(f"{where}: missing 'type'") from None
-    if kind == "normal":
+    if kind == _DIST_TYPES[Normal]:
         return Normal(mean=float(doc.get("mean", 0.0)), sd=float(doc.get("sd", 1.0)))
-    if kind == "discrete":
+    if kind == _DIST_TYPES[Discrete]:
         return Discrete(values=tuple(doc["values"]), probs=tuple(doc["probs"]))
-    if kind == "joint_discrete":
-        return JointDiscrete(
-            values=tuple(tuple(v) for v in doc["values"]), probs=tuple(doc["probs"])
-        )
+    if kind == _DIST_TYPES[JointDiscrete]:
+        return JointDiscrete(values=tuple(tuple(v) for v in doc["values"]),
+                             probs=tuple(doc["probs"]))
     raise ValueError(f"{where}: unknown distribution type {kind!r}")
-
-
-def spec_to_dict(spec):
-    if isinstance(spec.iv_dists, JointDiscrete):
-        iv_doc = _dist_to_dict(spec.iv_dists)
-    else:
-        iv_doc = [_dist_to_dict(d) for d in spec.iv_dists]
-    return {
-        "alpha": spec.alpha,
-        "beta": list(spec.beta),
-        "pi": list(spec.pi),
-        "gamma": list(spec.gamma),
-        "rho": spec.rho,
-        "covariate_dist": _dist_to_dict(spec.covariate_dist),
-        "iv_dists": iv_doc,
-    }
 
 
 def spec_from_dict(doc):

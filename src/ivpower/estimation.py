@@ -117,12 +117,14 @@ class Dataset:
         return self.z.shape[1]
 
 
-def _numbered_columns(header, prefix):
+def _numbered_columns(path, header, prefix):
     found = {}
     for name in header:
         tail = name[len(prefix):]
         if name.startswith(prefix) and tail.isdigit():
-            found[int(tail)] = name
+            if found.setdefault(int(tail), name) != name:
+                raise ValueError(f"{path}: columns '{found[int(tail)]}' and '{name}' "
+                                 f"are both {prefix}{int(tail)}")
     return [found[i] for i in sorted(found)]
 
 
@@ -130,7 +132,8 @@ def read_dataset_csv(path):
     """Load a headered CSV with columns y, d, x1..xk, z1..zm.
 
     Binding is by column name, so the column order does not matter and
-    extra columns are ignored.
+    extra columns are ignored; a column bound twice (a repeated name, or
+    x1 and x01) is an error.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -142,6 +145,11 @@ def read_dataset_csv(path):
     for required in ("y", "d"):
         if required not in header:
             raise ValueError(f"{path}: missing column '{required}'")
+    xcols = _numbered_columns(path, header, "x")
+    zcols = _numbered_columns(path, header, "z")
+    for name in ("y", "d", *xcols, *zcols):
+        if header.count(name) > 1:
+            raise ValueError(f"{path}: column '{name}' is named more than once")
     index = {name: i for i, name in enumerate(header)}
 
     def pull(name):
@@ -156,8 +164,6 @@ def read_dataset_csv(path):
             out[r] = float(cell)
         return out
 
-    xcols = _numbered_columns(header, "x")
-    zcols = _numbered_columns(header, "z")
     n = len(rows)
     x = np.column_stack([pull(c) for c in xcols]) if xcols else np.empty((n, 0))
     z = np.column_stack([pull(c) for c in zcols]) if zcols else np.empty((n, 0))
@@ -189,8 +195,8 @@ class FitResult:
     space.
     """
 
-    params: np.ndarray
     names: tuple
+    params: np.ndarray
     loglik: float
     vcov: np.ndarray
     converged: bool
@@ -307,7 +313,7 @@ def fit_probit(y, design, names, max_iter=_MAX_ITER):
 
     coef, ll, vcov, converged, iterations = _newton(
         terms, np.zeros(design.shape[1]), max_iter)
-    return FitResult(params=coef, names=tuple(names), loglik=ll, vcov=vcov,
+    return FitResult(names=tuple(names), params=coef, loglik=ll, vcov=vcov,
                      converged=converged, iterations=iterations)
 
 
@@ -403,7 +409,7 @@ def fit_bivariate_probit(data):
         raise RuntimeError(
             f"the MLE is on the boundary rho = {math.copysign(1.0, theta[-1]):+.0f}: "
             f"the likelihood there is as high as at the fit (rho_z = {theta[-1]:.4g})")
-    return FitResult(params=theta, names=names, loglik=ll, vcov=vcov,
+    return FitResult(names=names, params=theta, loglik=ll, vcov=vcov,
                      converged=converged, iterations=iterations)
 
 
@@ -421,6 +427,17 @@ def unpack_params(theta, n_covariates):
             np.clip(np.tanh(theta[..., -1]), -_RHO_MAX, _RHO_MAX))
 
 
+def _distinct_rows(z):
+    """``np.unique(z, axis=0, return_counts=True)`` from integer row codes built
+    column by column, each re-ranked after its column so it stays below n."""
+    code = np.zeros(len(z), dtype=np.int64)
+    for col in z.T:
+        _, inv = np.unique(col, return_inverse=True)
+        _, code = np.unique(code * (inv.max() + 1) + inv, return_inverse=True)
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    return z[first], counts
+
+
 def fitted_spec(fit, data):
     """Plug-in DgpSpec from a joint fit on ``data``.
 
@@ -431,7 +448,7 @@ def fitted_spec(fit, data):
     placeholder; estimated evaluation always supplies an explicit grid.
     """
     alpha, beta, pi, gamma, rho = unpack_params(fit.params, data.n_covariates)
-    zvals, counts = np.unique(data.z, axis=0, return_counts=True)
+    zvals, counts = _distinct_rows(data.z)
     iv = JointDiscrete(values=tuple(tuple(v) for v in zvals),
                        probs=tuple(counts / data.n))
     spec = DgpSpec(alpha=float(alpha), beta=tuple(beta), pi=tuple(pi),

@@ -8,11 +8,10 @@ import pytest
 
 import ivpower.cli as cli
 from ivpower.cli import (ConfigError, ROW_COLUMNS, _collect_ivsets,
-                         _parse_ivset, _parse_values, fit_to_dict,
-                         kernel_weights, main, report_row, report_to_dict,
-                         silverman_bandwidth, write_csv)
+                         _parse_ivset, _parse_values, kernel_weights, main,
+                         report_row, report_to_dict, silverman_bandwidth, write_csv)
 from ivpower.bounds import Interval, population_report
-from ivpower.dgp import spec_from_dict, spec_to_dict
+from ivpower.dgp import spec_from_dict, to_dict
 from ivpower.estimation import (Dataset, FitResult, HmueConfig, estimated_report,
                                 fit_bivariate_probit, write_dataset_csv)
 from ivpower.gaussian import rng_stream
@@ -25,7 +24,7 @@ SPEC = model3_spec(rho=0.5, covariate="normal")
 @pytest.fixture(scope="module")
 def spec_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("spec") / "model.json"
-    path.write_text(json.dumps(spec_to_dict(SPEC)))
+    path.write_text(json.dumps(to_dict(SPEC)))
     return str(path)
 
 
@@ -134,14 +133,14 @@ def test_estimated_report_json_fields(sample_report):
     _assert_scalars(doc, rep, _REPORT_FLOATS + ("point_iip", "flip_rate", "iv_name"))
     assert doc["levels"] == {repr(q): {k: [v.lower, v.upper] for k, v in iv.items()}
                              for q, iv in rep.levels.items()}
-    assert doc["fit"] == _json(fit_to_dict(rep.fit))
+    assert doc["fit"] == _json(to_dict(rep.fit))
     assert spec_from_dict(doc["spec"]) == rep.spec
 
 
 def test_fit_json_fields(sample_report):
     fit = sample_report.fit
-    doc = _json(fit_to_dict(fit))
-    assert set(doc) == {"names", "params", "loglik", "vcov", "converged", "iterations"}
+    doc = _json(to_dict(fit))
+    assert list(doc) == ["names", "params", "loglik", "vcov", "converged", "iterations"]
     assert doc["names"] == list(fit.names)
     assert doc["params"] == fit.params.tolist()
     assert doc["vcov"] == fit.vcov.tolist()
@@ -249,7 +248,7 @@ def test_config_errors_exit_2(tmp_path, spec_path, capsys):
 
 def _model2_spec_file(tmp_path, **fields):
     """A model-2 spec document with ``fields`` overridden."""
-    doc = dict(spec_to_dict(model2_spec()), **fields)
+    doc = dict(to_dict(model2_spec()), **fields)
     path = tmp_path / "model2.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -307,6 +306,10 @@ def test_data_errors_exit_3(tmp_path, capsys):
     broken.write_text("a,b\n1,2\n")
     assert main(["estimate", "--data", str(broken)]) == 3
     assert "missing column" in capsys.readouterr().err
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("y,d,x1,x1,z1\n1,0,1,9,1\n0,1,2,8,0\n1,1,3,7,1\n")
+    assert main(["estimate", "--data", str(repeated)]) == 3
+    assert "column 'x1' is named more than once" in capsys.readouterr().err
 
 
 def test_non_finite_cell_exits_3(tmp_path, capsys):
@@ -372,7 +375,7 @@ def test_simulate_command(tmp_path, spec_path):
 
 def test_surface_command(tmp_path):
     template = tmp_path / "model2.json"
-    template.write_text(json.dumps(spec_to_dict(model2_spec())))
+    template.write_text(json.dumps(to_dict(model2_spec())))
     out = tmp_path / "surf"
     assert main(["surface", "--spec", str(template), "--gamma", "0,1",
                  "--rho", "0.5", "--beta", "0.25", "--out", str(out)]) == 0

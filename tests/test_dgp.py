@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ivpower.dgp import (CpsSupport, DgpSpec, Discrete, IvSet, JointDiscrete,
                          Normal, SupportPartition, cell_probs_arrays, cps_support,
                          identity_iv_set, iv_support, nu1, spec_from_dict,
-                         spec_to_dict, true_ate)
+                         to_dict, true_ate)
 from ivpower.gaussian import norm_cdf
 from ivpower.simulation import model3_spec, standard_iv_sets
 from oracle_sv import oracle_cells
@@ -123,23 +123,33 @@ def test_iv_set_transform_and_columns():
 
 
 def test_spec_round_trip():
+    cov_keys = {"normal": ["type", "mean", "sd"], "bernoulli": ["type", "values", "probs"]}
     for cov in ("normal", "bernoulli"):
         spec = model3_spec(rho=0.8, covariate=cov)
-        doc = spec_to_dict(spec)
+        doc = to_dict(spec)
+        # a record's JSON is its fields in declaration order
+        assert list(doc) == ["alpha", "beta", "pi", "gamma", "rho", "covariate_dist",
+                             "iv_dists"]
+        assert list(doc["covariate_dist"]) == cov_keys[cov]
+        assert [list(d) for d in doc["iv_dists"]] == [["type", "values", "probs"]] * 3
         again = spec_from_dict(doc)
         assert again == spec
-        assert spec_to_dict(again) == doc
+        assert to_dict(again) == doc
 
 
 def test_spec_round_trip_joint_discrete():
     joint = JointDiscrete(((0.0, 1.0), (1.0, -1.0)), (0.4, 0.6))
     spec = DgpSpec(alpha=0.5, beta=0.1, pi=0.2, gamma=(0.3, -0.2), rho=-0.4,
                    covariate_dist=Normal(0.0, 1.0), iv_dists=joint)
-    assert spec_from_dict(spec_to_dict(spec)) == spec
+    doc = to_dict(spec)
+    assert doc["iv_dists"] == {"type": "joint_discrete",
+                               "values": [[0.0, 1.0], [1.0, -1.0]], "probs": [0.4, 0.6]}
+    assert list(doc["iv_dists"]) == ["type", "values", "probs"]
+    assert spec_from_dict(doc) == spec
 
 
 def test_spec_from_dict_missing_field():
-    doc = spec_to_dict(model3_spec())
+    doc = to_dict(model3_spec())
     doc.pop("beta")
     with pytest.raises(ValueError, match="beta"):
         spec_from_dict(doc)

@@ -176,6 +176,19 @@ def test_fitted_spec_reuses_empirical_instruments():
     np.testing.assert_allclose(np.sort(probs), np.sort(counts / data.n), atol=1e-12)
 
 
+def test_distinct_rows_match_unique_rows():
+    data = _sample(3000, seed=5)
+    # six continuous columns of 4,000 distinct values (the last 1,000 rows
+    # repeat the first): a key of unranked codes would pass 2**63
+    wide = rng_stream(9).normal(size=(5000, 6))
+    wide[4000:] = wide[:1000]
+    for z in [s.columns(data.z) for s in standard_iv_sets()] + [wide]:
+        rows, counts = est._distinct_rows(z)
+        want_rows, want_counts = np.unique(z, axis=0, return_counts=True)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(counts, want_counts)
+
+
 def test_dataset_csv_round_trip(tmp_path):
     data = _sample(50)
     path = tmp_path / "sample.csv"
@@ -206,6 +219,14 @@ def test_dataset_csv_diagnostics(tmp_path):
     nohead.write_text("x1,z1\n0.5,1\n")
     with pytest.raises(ValueError, match="missing column 'y'"):
         read_dataset_csv(nohead)
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("y,d,x1,x1,z1\n1,0,1,9,1\n0,1,2,8,0\n1,1,3,7,1\n")
+    with pytest.raises(ValueError, match="column 'x1' is named more than once"):
+        read_dataset_csv(repeated)
+    aliased = tmp_path / "aliased.csv"
+    aliased.write_text("y,d,x1,z1,z01\n1,0,1,9,1\n")
+    with pytest.raises(ValueError, match="columns 'z1' and 'z01' are both z1"):
+        read_dataset_csv(aliased)
 
 
 def test_dataset_requires_binary_outcomes():
