@@ -60,7 +60,6 @@ from .dgp import (
     identity_iv_set,
     true_ate,
 )
-from .gaussian import normal_quadrature
 
 __all__ = [
     "Interval",
@@ -90,8 +89,6 @@ _GRID_STEP = 0.01
 _GRID_SPAN_SD = 4.0
 # parameter draws evaluated together; bounds the kernel's temporaries
 _DRAW_CHUNK = 128
-# Gauss-Hermite nodes of iip_average over a normal covariate
-_IIP_NODES = 64
 
 
 class Interval(NamedTuple):
@@ -536,23 +533,12 @@ def iip(spec, x, ivset=None):
     return population_report(spec, x, ivset, grid=x).iip
 
 
-def iip_average(spec, ivset=None, x_weights=None):
+def iip_average(spec, ivset, x_weights):
     """Weighted average of iip over x points.
 
     ``x_weights`` is a sequence of (x, weight) pairs whose weights sum to
-    one.  When omitted, the points come from the covariate distribution:
-    the support for a discrete covariate, Gauss-Hermite nodes for a
-    normal one.
+    one.
     """
-    if x_weights is None:
-        dist = spec.covariate_dist
-        if isinstance(dist, Discrete):
-            x_weights = list(zip(dist.values, dist.probs))
-        elif isinstance(dist, Normal):
-            nodes, wts = normal_quadrature(dist.mean, dist.sd, _IIP_NODES)
-            x_weights = list(zip(nodes, wts))
-        else:
-            raise ValueError(f"cannot average over {dist!r}")
     wts = np.asarray([w for _, w in x_weights], dtype=float)
     if abs(wts.sum() - 1.0) > 1e-8:
         raise ValueError("weights must sum to 1")

@@ -32,7 +32,7 @@ from .estimation import (
     bootstrap_dispersion, estimated_report, fit_probit, fit_set,
     quantile_grid, read_dataset_csv, with_intercept,
 )
-from .gaussian import norm_ppf
+from .gaussian import norm_ppf, stream_seed
 from .simulation import (
     McDesign, rank_entries, rank_iv_sets, run_monte_carlo, standard_iv_sets,
     surface_grid, table_rows,
@@ -124,7 +124,8 @@ def _read_data(path):
     try:
         return read_dataset_csv(path)
     except OSError as exc:
-        raise DataError(f"cannot read dataset {path!r}: {exc}") from None
+        # strerror: the text of an OSError already names the file
+        raise DataError(f"cannot read dataset {path!r}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise DataError(f"dataset {path!r}: {exc}") from None
 
@@ -278,7 +279,7 @@ def cmd_simulate(args):
         spec=spec, iv_sets=iv_sets, sample_sizes=[int(v) for v in sizes],
         replications=args.replications,
         x_eval=_one_point(args, spec.n_covariates),
-        seed=args.seed, hmue=HmueConfig(n_sim=args.hmue_sims, seed=args.seed),
+        seed=args.seed, hmue=HmueConfig(n_sim=args.hmue_sims),
         match=MatchConfig(args.tolerance_c), record_sv=not args.no_sv,
     )
     result = run_monte_carlo(design, workers=args.workers)
@@ -355,9 +356,8 @@ def cmd_rank_ivs(args):
     for si, ivset in enumerate(iv_sets):
         # the default match: on the one row grid=x every match is exact
         rep = estimated_report(data, ivset, x, hmue=hmue, grid=x)
-        boot_seed = int(np.random.SeedSequence(
-            entropy=args.seed, spawn_key=(7, si)).generate_state(1, np.uint64)[0])
-        boot = bootstrap_dispersion(data, ivset, x, n_boot=args.n_boot, seed=boot_seed)
+        boot = bootstrap_dispersion(data, ivset, x, n_boot=args.n_boot,
+                                    seed=stream_seed(args.seed, 7, si))
         sd = boot.sd
         half = z975 * sd if np.isfinite(sd) else math.inf
         # identification power is discontinuous at irrelevance (it drops

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
-from .gaussian import binorm_cdf, norm_cdf
+from .gaussian import binorm_cdf
 
 __all__ = [
     "Discrete",
@@ -270,7 +270,7 @@ class SupportPartition:
         raw support, not the cell at the averaged propensity.
         """
         v0 = beta @ points.T
-        q = norm_cdf((pi @ points.T)[..., None] + (gamma @ self.z_raw.T)[:, None, :])
+        q = ndtr((pi @ points.T)[..., None] + (gamma @ self.z_raw.T)[:, None, :])
         c11, c10, _, _ = cell_probs_arrays((alpha[:, None] + v0)[..., None], v0[..., None],
                                            q, rho[:, None, None])
         return c11 @ self.weights, c10 @ self.weights, q @ self.weights
@@ -321,7 +321,7 @@ def cell_probs_arrays(v1, v0, p, rho):
     # the two columns on a leading axis, in front of every axis of p and rho
     pad = max(p.ndim - v1.ndim, np.ndim(rho) - v1.ndim, 0)
     v = np.stack([v1, v0]).reshape((2,) + (1,) * pad + v1.shape)
-    u0 = norm_cdf(v0)
+    u0 = ndtr(v0)
     # both copula columns C(Phi(v), p) in one kernel call, the latent
     # indices taken as they are; ndtri maps p = 0 and 1 to -inf and +inf,
     # where the kernel returns C(u, 0) = 0 and C(u, 1) = u
@@ -335,7 +335,7 @@ def cell_probs_arrays(v1, v0, p, rho):
 
 def true_ate(spec, x):
     """Population conditional ATE: Phi(nu1(1,x)) - Phi(nu1(0,x))."""
-    return float(norm_cdf(nu1(spec, 1, x)) - norm_cdf(nu1(spec, 0, x)))
+    return float(ndtr(nu1(spec, 1, x)) - ndtr(nu1(spec, 0, x)))
 
 
 # ---------------------------------------------------------------------------

@@ -117,13 +117,13 @@ class Dataset:
         return self.z.shape[1]
 
 
-def _numbered_columns(path, header, prefix):
+def _numbered_columns(header, prefix):
     found = {}
     for name in header:
         tail = name[len(prefix):]
         if name.startswith(prefix) and tail.isdigit():
             if found.setdefault(int(tail), name) != name:
-                raise ValueError(f"{path}: columns '{found[int(tail)]}' and '{name}' "
+                raise ValueError(f"columns '{found[int(tail)]}' and '{name}' "
                                  f"are both {prefix}{int(tail)}")
     return [found[i] for i in sorted(found)]
 
@@ -133,34 +133,34 @@ def read_dataset_csv(path):
 
     Binding is by column name, so the column order does not matter and
     extra columns are ignored; a column bound twice (a repeated name, or
-    x1 and x01) is an error.
+    x1 and x01) is an error.  Error messages leave the path to the
+    caller, which knows it.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+            raise ValueError("empty file") from None
         rows = [row for row in reader if row]
     for required in ("y", "d"):
         if required not in header:
-            raise ValueError(f"{path}: missing column '{required}'")
-    xcols = _numbered_columns(path, header, "x")
-    zcols = _numbered_columns(path, header, "z")
+            raise ValueError(f"missing column '{required}'")
+    xcols = _numbered_columns(header, "x")
+    zcols = _numbered_columns(header, "z")
     for name in ("y", "d", *xcols, *zcols):
         if header.count(name) > 1:
-            raise ValueError(f"{path}: column '{name}' is named more than once")
+            raise ValueError(f"column '{name}' is named more than once")
     index = {name: i for i, name in enumerate(header)}
 
     def pull(name):
         out = np.empty(len(rows))
         for r, row in enumerate(rows):
             if len(row) != len(header):
-                raise ValueError(f"{path}: row {r + 2} has {len(row)} fields, "
-                                 f"expected {len(header)}")
+                raise ValueError(f"row {r + 2} has {len(row)} fields, expected {len(header)}")
             cell = row[index[name]].strip()
             if not cell:
-                raise ValueError(f"{path}: missing value for '{name}' in row {r + 2}")
+                raise ValueError(f"missing value for '{name}' in row {r + 2}")
             out[r] = float(cell)
         return out
 

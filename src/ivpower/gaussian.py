@@ -1,9 +1,9 @@
 """Gaussian numerical primitives.
 
-Univariate and bivariate standard-normal CDFs, the Gaussian copula, the
-inverse normal CDF, Gauss quadrature helpers, and seeded RNG streams.
-Everything is vectorized over numpy arrays and pure (no module state
-beyond cached quadrature nodes).
+The bivariate standard-normal CDF, the Gaussian copula, the normal
+density and inverse CDF, and seeded RNG streams: the one place a child
+stream is derived from a seed.  Everything is vectorized over numpy
+arrays and pure (no module state beyond cached quadrature nodes).
 
 The bivariate CDF `binorm_cdf` follows A. Genz, "Numerical computation
 of rectangular bivariate and trivariate normal and t probabilities",
@@ -29,13 +29,12 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 __all__ = [
-    "norm_cdf",
     "norm_pdf",
     "norm_ppf",
     "binorm_cdf",
     "gaussian_copula",
-    "normal_quadrature",
     "rng_stream",
+    "stream_seed",
 ]
 
 # Gauss-Legendre node counts by |rho| band (Genz 2004); past the last
@@ -43,11 +42,6 @@ __all__ = [
 _BANDS = ((0.3, 6), (0.75, 12), (0.925, 20))
 _RHO_HIGH = _BANDS[-1][0]
 _NODES_HIGH = 20
-
-
-def norm_cdf(z):
-    """Standard normal CDF, accurate to ~1e-16. Accepts arrays, +-inf."""
-    return ndtr(z)
 
 
 def norm_pdf(z):
@@ -220,37 +214,24 @@ def binorm_cdf(a, b, rho):
 
 
 def gaussian_copula(u1, u2, rho):
-    """Gaussian copula C(u1, u2; rho) with exact boundary behavior.
+    """Gaussian copula C(u1, u2; rho) = Phi2(Phi^-1(u1), Phi^-1(u2); rho).
 
-    C(u, 0) = 0 and C(u, 1) = u; the interior goes through `binorm_cdf`.
+    ndtri maps the edges 0 and 1 to -inf and +inf, where `binorm_cdf`
+    returns C(u, 0) = 0 and C(u, 1) = u.
     """
-    u1, u2, rho = np.broadcast_arrays(
-        np.asarray(u1, dtype=float), np.asarray(u2, dtype=float), np.asarray(rho, dtype=float)
-    )
+    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
     if np.any((u1 < 0) | (u1 > 1) | (u2 < 0) | (u2 > 1)):
         raise ValueError("copula arguments must lie in [0,1]")
-    scalar = u1.ndim == 0
-    u1, u2, rho = np.atleast_1d(u1), np.atleast_1d(u2), np.atleast_1d(rho)
-
-    out = np.empty(u1.shape, dtype=float)
-    boundary = (u1 <= 0.0) | (u2 <= 0.0) | (u1 >= 1.0) | (u2 >= 1.0)
-    if np.any(boundary):
-        out[boundary] = np.minimum(u1[boundary], u2[boundary])
-        zero = boundary & ((u1 <= 0.0) | (u2 <= 0.0))
-        out[zero] = 0.0
-    interior = ~boundary
-    if np.any(interior):
-        out[interior] = binorm_cdf(ndtri(u1[interior]), ndtri(u2[interior]), rho[interior])
-    return float(out[0]) if scalar else out
+    return binorm_cdf(ndtri(u1), ndtri(u2), rho)
 
 
-def normal_quadrature(mean=0.0, sd=1.0, order=64):
-    """Gauss-Hermite nodes and weights for E[f(X)], X ~ N(mean, sd^2)."""
-    t, w = np.polynomial.hermite.hermgauss(order)
-    return mean + sd * np.sqrt(2.0) * t, w / np.sqrt(np.pi)
+def rng_stream(seed, *key):
+    """Independent, reproducible generator for (seed, *key); no key is
+    the key (0,)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key or (0,)))
 
 
-def rng_stream(seed, stream_id=0):
-    """Independent, reproducible generator for (seed, stream_id)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
-    return np.random.default_rng(ss)
+def stream_seed(seed, *key):
+    """A 64-bit integer seed drawn from the (seed, *key) stream."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return int(ss.generate_state(1, np.uint64)[0])

@@ -26,6 +26,7 @@ from .bounds import (NUMERIC_COLUMNS, REPORT_COLUMNS, MatchConfig, population_re
                      report_columns)
 from .dgp import DgpSpec, Discrete, IvSet, JointDiscrete, Normal
 from .estimation import Dataset, HmueConfig, estimated_report, hausdorff_interval
+from .gaussian import rng_stream, stream_seed
 
 __all__ = [
     "McDesign",
@@ -142,7 +143,9 @@ class McDesign:
     """Replication plan: one dataset per (sample size, replicate), every
     instrument set evaluated on it.  ``record_sv=False`` skips the
     covariate-layer bounds, which is enough for identification-power
-    summaries and much faster."""
+    summaries and much faster.  ``hmue.seed`` is not read: each task
+    takes its correction seed from the (seed, sample size, replicate,
+    instrument set) stream."""
 
     spec: DgpSpec
     iv_sets: tuple
@@ -217,17 +220,6 @@ class McResult:
     failure_alarm: bool
 
 
-def _sample_stream(seed, n_index, replicate):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(n_index, replicate))
-    return np.random.default_rng(ss)
-
-
-def _hmue_seed(seed, n_index, replicate, iv_index):
-    ss = np.random.SeedSequence(entropy=seed,
-                                spawn_key=(n_index, replicate, 1 + iv_index))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def mc_replicate(design, n_index, replicate, iv_index):
     """One (sample size, replicate, instrument set) task.
 
@@ -235,9 +227,8 @@ def mc_replicate(design, n_index, replicate, iv_index):
     sample is shared across instrument sets without passing it around.
     """
     n = design.sample_sizes[n_index]
-    data = generate_sample(design.spec, n,
-                           _sample_stream(design.seed, n_index, replicate))
-    hm = replace(design.hmue, seed=_hmue_seed(design.seed, n_index, replicate, iv_index))
+    data = generate_sample(design.spec, n, rng_stream(design.seed, n_index, replicate))
+    hm = replace(design.hmue, seed=stream_seed(design.seed, n_index, replicate, 1 + iv_index))
     return estimated_report(data, design.iv_sets[iv_index], design.x_eval, design.match, hm,
                             grid=None if design.record_sv else design.x_eval)
 

@@ -285,8 +285,6 @@ def test_iip_average_weighted_points():
     pts = [(np.array([0.0]), 0.5), (np.array([1.0]), 0.5)]
     want = 0.5 * iip(spec, X0, ivset) + 0.5 * iip(spec, np.array([1.0]), ivset)
     assert iip_average(spec, ivset, x_weights=pts) == pytest.approx(want, abs=1e-12)
-    # default for a discrete covariate uses the support probabilities
-    assert iip_average(spec, ivset) == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError, match="sum to 1"):
         iip_average(spec, ivset, x_weights=[(np.array([0.0]), 0.7)])
 

@@ -312,6 +312,24 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert "column 'x1' is named more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("y,d,x1,x1,z1\n1,0,1,9,1\n", "column 'x1' is named more than once"),
+    ("y,x1,z1\n1,0.5,1\n", "missing column 'd'"),
+    ("y,d,x1,z1\n1,0,0.5,1\n0,1,0.2\n", "row 3 has 3 fields, expected 4"),
+    ("y,d,x1,z1\n1,0,,1\n", "missing value for 'x1' in row 2"),
+    ("y,d,x1,z1\n2,0,0.5,1\n0,1,0.2,0\n", "y must be binary"),
+    (None, "No such file or directory"),
+])
+def test_data_error_names_the_file_once(tmp_path, capsys, text, message):
+    path = tmp_path / "data.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["estimate", "--data", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count(str(path)) == 1, err
+
+
 def test_non_finite_cell_exits_3(tmp_path, capsys):
     path = tmp_path / "nan.csv"
     path.write_text("y,d,x1,z1\n1,0,0.5,1\n0,1,nan,0\n1,1,-0.2,1\n")

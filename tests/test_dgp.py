@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr as norm_cdf
 
 from ivpower.dgp import (CpsSupport, DgpSpec, Discrete, IvSet, JointDiscrete,
                          Normal, SupportPartition, cell_probs_arrays, cps_support,
                          identity_iv_set, iv_support, nu1, spec_from_dict,
                          to_dict, true_ate)
-from ivpower.gaussian import norm_cdf
 from ivpower.simulation import model3_spec, standard_iv_sets
 from oracle_sv import oracle_cells
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr as norm_cdf
 
-from ivpower.gaussian import (binorm_cdf, gaussian_copula, norm_cdf, norm_pdf,
-                              norm_ppf, normal_quadrature, rng_stream)
+from ivpower.gaussian import (binorm_cdf, gaussian_copula, norm_pdf, norm_ppf, rng_stream,
+                              stream_seed)
 from oracle_sv import binorm_ref
 
 # Frozen references: mpmath (dps=30) evaluation of the conditional
@@ -192,6 +193,15 @@ def test_gaussian_copula_uniform_margins():
         assert gaussian_copula(u, 1.0, 0.4) == pytest.approx(u, abs=1e-12)
         assert gaussian_copula(1.0, u, -0.7) == pytest.approx(u, abs=1e-12)
         assert gaussian_copula(u, 0.0, 0.4) == 0.0
+        assert gaussian_copula(0.0, u, -0.7) == 0.0
+    # edges and interior in one call give the values of one-by-one calls
+    u1 = np.array([0.0, 0.3, 1.0, 0.6, 1.0])
+    u2 = np.array([0.5, 1.0, 0.2, 0.7, 1.0])
+    got = gaussian_copula(u1, u2, 0.4)
+    np.testing.assert_array_equal(got, [gaussian_copula(a, b, 0.4) for a, b in zip(u1, u2)])
+    assert got[0] == 0.0 and got[4] == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        gaussian_copula(np.array([0.5, 1.5]), 0.5, 0.4)
 
 
 def test_norm_functions_pinned_values():
@@ -207,17 +217,22 @@ def test_norm_ppf_round_trip(u):
     assert norm_cdf(norm_ppf(u)) == pytest.approx(u, rel=1e-9, abs=1e-12)
 
 
-def test_normal_quadrature_moments():
-    nodes, weights = normal_quadrature(mean=0.5, sd=2.0, order=32)
-    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.dot(weights, nodes) == pytest.approx(0.5, abs=1e-10)
-    assert np.dot(weights, (nodes - 0.5) ** 2) == pytest.approx(4.0, abs=1e-9)
-    assert np.dot(weights, (nodes - 0.5) ** 4) == pytest.approx(3.0 * 16.0, rel=1e-9)
-
-
 def test_rng_stream_reproducible_and_distinct():
     a = rng_stream(123, 4).standard_normal(5)
     b = rng_stream(123, 4).standard_normal(5)
     c = rng_stream(123, 5).standard_normal(5)
     np.testing.assert_array_equal(a, b)
     assert not np.allclose(a, c)
+
+
+def test_stream_rule_is_frozen():
+    # values from SeedSequence(entropy=seed, spawn_key=key): the
+    # Monte Carlo samples, correction seeds and bootstrap seeds of every
+    # saved run depend on them
+    assert rng_stream(21, 1, 2).integers(0, 2**62, size=3).tolist() == [
+        2937010674858671221, 936364352471479586, 2753759027688188135]
+    assert stream_seed(0, 7, 1) == 15307854190537684107
+    assert stream_seed(0, 1, 2, 3) == 16671662351209319379
+    for seed in (0, 5, 2026):
+        np.testing.assert_array_equal(rng_stream(seed).standard_normal(4),
+                                      rng_stream(seed, 0).standard_normal(4))

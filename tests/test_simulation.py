@@ -188,6 +188,15 @@ def test_run_monte_carlo_worker_count_does_not_change_results():
     assert ks.pvalue == direct.pvalue
 
 
+def test_run_monte_carlo_does_not_read_the_hmue_seed():
+    # each task draws its correction seed from the design's stream, so
+    # the seed inside `hmue` changes nothing
+    design = dataclasses.replace(_small_design(replications=2), record_sv=False)
+    other = dataclasses.replace(design, hmue=HmueConfig(n_sim=100, seed=12345))
+    _assert_identical(table_rows(run_monte_carlo(other)), table_rows(run_monte_carlo(design)),
+                      "rows")
+
+
 def test_failed_tasks_cross_the_worker_boundary_unchanged():
     # at n = 30 most joint MLEs sit on the rho = +-1 boundary or have a
     # singular information, so the fit fails inside the worker
