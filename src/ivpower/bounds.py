@@ -19,24 +19,31 @@ Every quantity comes out of one bound engine, in five steps:
 
 1. grouping: `dgp.SupportPartition` groups the raw instrument support by
    the used-instrument key, once per report;
-2. cells: `SupportPartition.group_cells` gives the observable group cells
-   for a batch of R parameter values at the evaluation point and the
-   covariate grid, the candidate rows x' the caller passes as ``grid``;
-3. families: `build_structure` matches propensities across the grid and
-   flattens every sup/inf bounding step into a family of member values
-   (`BoundsStructure`), with the CPS support and the ATE sign; the
-   matching, the family construction and the pairwise sign check are
-   array operations over the T own-support groups and G grid rows.
-   Endpoint rows: where pi'x' is the same on every grid row, each
-   member is an own-point term plus a nonnegative multiple of a matched
-   cell that increases in beta'x', and the sign check's forward
-   (reverse) contrast increases (decreases) in beta'x'; so the solve
-   keeps, per pattern of set flags and strict latent signs, the rows of
-   lowest and highest beta'x' plus x, and every sup, inf and check
-   violation of the full grid is among them;
-4. evaluation: `_family_values` holds the member formulas; it evaluates
-   the families on the solve's own cells (population values) and, in
-   `evaluate_draws`, at R parameter draws with the structure frozen (a
+2. cells: `SupportPartition.spec_propensity` gives the group propensities,
+   from which the CPS support at x and its degeneracy follow with no
+   bivariate kernel; `SupportPartition.group_cells` then gives the
+   observable group cells in one call per solve: at x alone when the
+   support is degenerate, else at x followed by the grid rows, the
+   candidate rows x' the caller passes as ``grid``;
+3. families: `build_structure` picks its grid rows from the latent
+   indices alone, matches propensities across them and holds every
+   sup/inf bounding step as a family (`BoundsStructure`), with the CPS
+   support and the ATE sign.  A family is a (T, G + 1) admission mask
+   over the T own-support groups: column 0 is the bare member, column
+   g + 1 the member at grid row g.  Endpoint rows: where pi'x' is the
+   same on every grid row, the matches are the same on every row and
+   each member is an own-point term plus a nonnegative multiple of a
+   matched cell that increases in beta'x'; so the solve keeps, per
+   pattern of the four set flags, the rows of lowest and highest beta'x'
+   plus x, and every sup and inf of the full grid is among them.  The
+   pairwise sign identity that the memberships rest on (Shaikh &
+   Vytlacil 2011) holds for every spec and is checked by the tests, not
+   by the solve;
+4. evaluation: `_member_values` holds the member formulas, element-wise.
+   The solve evaluates each form once as a dense (T, G + 1) array on its
+   own cells and takes each family's members through its mask; a sup or
+   inf step is one max or min over them.  `evaluate_draws` gathers the
+   members' cells at R parameter draws with the structure frozen (a
    point estimate is a batch of one);
 5. assembly: `assemble` turns the sup/inf steps into the benchmark,
    widest and two-layer intervals and C1-C4, for population reports,
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -142,17 +150,28 @@ def _nearest(p_rows, p):
 
 @dataclass
 class _Family:
-    """One sup or inf step: member values are rebuilt per parameter draw.
+    """One sup or inf step.
 
-    ``t`` indexes the own-support group, ``g`` the grid row (-1 for the
-    empty-set member), ``j`` the matched support group at that row.
+    ``mask[t, c]`` marks its members: column 0 is the bare member of outer
+    group t, column g + 1 the member at grid row g, matched to support
+    group ``jstar[t, c]``.  ``t``, ``g`` and ``j`` are the `np.nonzero`
+    view of the mask, t-major, with ``g`` and ``j`` -1 for the bare
+    member; they are built on first use.
     """
 
     role: str  # "sup" or "inf"
     form: str  # "L1", "U0", "U1", "L0", "marg_L", "marg_U", "p_lo"
-    t: np.ndarray
-    g: np.ndarray
-    j: np.ndarray
+    mask: np.ndarray
+    jstar: np.ndarray
+
+    @cached_property
+    def members(self):
+        t, col = np.nonzero(self.mask)
+        return t, col - 1, np.where(col > 0, self.jstar[t, col], -1)
+
+    t = property(lambda self: self.members[0])
+    g = property(lambda self: self.members[1])
+    j = property(lambda self: self.members[2])
 
 
 @dataclass
@@ -162,7 +181,8 @@ class BoundsStructure:
 
     ``sign`` is None when the CPS support at ``x`` is degenerate; the
     structure then holds only the benchmark families.  ``values`` holds
-    each family's member values at the parameters it was built at.
+    each family's member values at the parameters it was built at, in
+    the order of its ``t``, ``g`` and ``j``.
     """
 
     x: np.ndarray
@@ -171,81 +191,102 @@ class BoundsStructure:
     sign: object
     support: CpsSupport
     families: dict
-    values: dict = None
+    values: dict
 
 
-def _build_families(grid_ok, pstar, jstar, sets, own_idx):
-    """Flatten the nested sup/inf terms into the two-layer (``sv_``) and
-    widest (``w_``) member families.
-
-    ``grid_ok[t, g]`` marks admissible matches, ``pstar``/``jstar`` the
-    matched propensity and its group index.  Every family carries a bare
-    member per outer propensity covering the empty-set convention.  The
-    widest families are the two-layer ones restricted to the own row
-    ``own_idx`` (x' = x).
-    """
-    # a leading column holds the bare member, so nonzero runs t-major,
-    # bare member first, then ascending grid row
-    bare = np.ones((jstar.shape[0], 1), dtype=bool)
-    j_ext = np.hstack([np.full(bare.shape, -1), jstar])
-    in_tie = (pstar > _TIE) & (pstar < 1.0 - _TIE)
-    sv, widest = {}, {}
-    for form, role, member_set, conditional in (
-            ("L1", "sup", sets["x1p"], False), ("U0", "inf", sets["x0p"], True),
-            ("U1", "inf", sets["x1m"], True), ("L0", "sup", sets["x0m"], False)):
-        keep = grid_ok & member_set[None, :]
-        if conditional:
-            keep &= in_tie
-        t, col = np.nonzero(np.hstack([bare, keep]))
-        g, j = col - 1, j_ext[t, col]
-        own = (g < 0) | (g == own_idx)
-        sv["sv_" + form] = _Family(role, form, t, g, j)
-        widest["w_" + form] = _Family(role, form, t[own], g[own], j[own])
-    return {**sv, **widest}
+# the forms that read the own-point cells alone, by role; p_lo has one
+# member per outer group, the others one member
+_OWN_FORMS = {"marg_L": "sup", "marg_U": "inf", "p_lo": "inf"}
+# the two-layer forms: (form, role, set flag, conditional), where a
+# conditional member needs an interior matched propensity
+_TWO_LAYER_FORMS = (("L1", "sup", "x1p", False), ("U0", "inf", "x0p", True),
+                    ("U1", "inf", "x1m", True), ("L0", "sup", "x0m", False))
 
 
-def _family_values(fam, own, grid, pos, gmass):
-    """Member values (R, members) of one family at R parameter points.
-
-    ``own`` holds the (R, T) own-point group cells (p11, p10, p);
-    ``grid`` the (R, N, T) cells at the grid rows that ``pos`` maps a
-    structure row to.  These are the only copies of the member formulas.
-    """
-    p11o, p10o, pown = own
-    if fam.form == "marg_L":
-        return (-(p10o @ gmass) - ((pown - p11o) @ gmass))[:, None]
-    if fam.form == "marg_U":
-        return ((p11o @ gmass) + ((1.0 - p10o - pown) @ gmass))[:, None]
-    if fam.form == "p_lo":
-        return pown.copy()
-    t, m = fam.t, fam.g >= 0
-    g, j = pos[fam.g[m]], fam.j[m]
-    # the bare member is the empty matched set: it adds 0 to a sup step's
-    # own cell and puts a conditional probability of 1 in an inf step's
-    term = np.full((pown.shape[0], t.size), 0.0 if fam.role == "sup" else 1.0)
-    if fam.form == "L1":
-        term[:, m] = grid[1][:, g, j]
-        return p11o[:, t] + term
-    if fam.form == "L0":
-        term[:, m] = grid[0][:, g, j]
-        return p10o[:, t] + term
-    ps = np.clip(grid[2][:, g, j], _TIE, 1.0 - _TIE)
-    if fam.form == "U0":
-        term[:, m] = grid[0][:, g, j] / ps
-        return p10o[:, t] + pown[:, t] * term
-    term[:, m] = grid[1][:, g, j] / (1.0 - ps)
-    return p11o[:, t] + (1.0 - pown[:, t]) * term
+def _own_values(form, own, gmass):
+    """Member values (R, members) of an own-point form from the (R, T)
+    own-point group cells ``own`` (p11, p10, p)."""
+    p11, p10, p = own
+    if form == "marg_L":
+        return (-(p10 @ gmass) - ((p - p11) @ gmass))[:, None]
+    if form == "marg_U":
+        return ((p11 @ gmass) + ((1.0 - p10 - p) @ gmass))[:, None]
+    return p
 
 
-def _values(structure, own, grid, pos):
-    gmass = structure.partition.gmass
-    return {name: _family_values(fam, own, grid, pos, gmass)
-            for name, fam in structure.families.items()}
+def _member_values(form, own, matched, bare):
+    """Values of two-layer members, element-wise: the cells ``own``
+    (p11, p10, p) of each member's outer group at x, and ``matched`` at
+    its matched grid row and group.  A ``bare`` member is the empty
+    matched set: it adds 0 to a sup step's own cell and puts a
+    conditional probability of 1 in an inf step's.  These are the only
+    copies of the member formulas."""
+    p11, p10, p = own
+    m11, m10, mp = matched
+    if form == "L1":
+        return p11 + np.where(bare, 0.0, m10)
+    if form == "L0":
+        return p10 + np.where(bare, 0.0, m11)
+    ps = np.clip(mp, _TIE, 1.0 - _TIE)
+    if form == "U0":
+        return p10 + p * np.where(bare, 1.0, m11 / ps)
+    return p11 + (1.0 - p) * np.where(bare, 1.0, m10 / (1.0 - ps))
+
+
+def _signs(p11, p10, p):
+    """ATE sign per row of (R, T) own-point cells: the sign of
+    Pr[Y=1 | x, p] at the largest propensity minus that at the smallest,
+    0 within 1e-12."""
+    rows = np.arange(p.shape[0])
+    pry1 = p11 + p10
+    diff = pry1[rows, p.argmax(axis=1)] - pry1[rows, p.argmin(axis=1)]
+    return np.where(np.abs(diff) <= 1e-12, 0, np.sign(diff)).astype(int)
+
+
+def _solve_rows(spec, x, grid):
+    """The solve's grid rows, the own row's index among them and each
+    row's set flags, from the latent indices alone."""
+    if grid is None:
+        grid = default_covariate_grid(spec)
+    own_row = np.flatnonzero(np.all(np.abs(grid - x) <= _TIE, axis=1))
+    if own_row.size == 0:
+        grid = np.vstack([grid, x])
+        own_idx = grid.shape[0] - 1
+    else:
+        own_idx = int(own_row[0])
+    beta = np.asarray(spec.beta)
+    v1x = spec.alpha + float(np.dot(beta, x))
+    v0x = float(np.dot(beta, x))
+    v0g = grid @ beta
+    v1g = spec.alpha + v0g
+    sets = {
+        "x0p": v1g >= v0x - _TIE,
+        "x0m": v1g <= v0x + _TIE,
+        "x1p": v1x >= v0g - _TIE,
+        "x1m": v1x <= v0g + _TIE,
+    }
+    if grid.shape[0] > 1 and np.ptp(np.array([spec.pi]) @ grid.T) == 0.0:
+        # endpoint rows (module docstring): per pattern of set flags, the
+        # rows of lowest and highest beta'x', and x; a one-row grid (the
+        # widest-only report) has none to drop
+        pattern = sets["x0p"] + 2 * sets["x0m"] + 4 * sets["x1p"] + 8 * sets["x1m"]
+        order = np.lexsort((v0g, pattern))
+        change = np.diff(pattern[order]) != 0
+        # the first and the last row of each pattern in that order
+        edge = np.ones(order.size, dtype=bool)
+        edge[1:-1] = change[:-1] | change[1:]
+        keep = np.zeros(order.size, dtype=bool)
+        keep[order[edge]] = True
+        keep[own_idx] = True
+        own_idx = int(np.count_nonzero(keep[:own_idx]))
+        grid = grid[keep]
+        sets = {name: flag[keep] for name, flag in sets.items()}
+    return grid, own_idx, sets
 
 
 def build_structure(spec, x, ivset=None, match=None, grid=None):
-    """The engine's one pass at x: grouping, cells, CPS support, sign,
-    matching and families, with the families' values at ``spec``.
+    """The engine's one pass at x: grouping, CPS support, grid rows,
+    cells, matching and families, with the families' values at ``spec``.
 
     Membership, matching and the ATE sign are frozen at ``spec``, so
     `evaluate_draws` can re-evaluate the families at new parameters; the
@@ -255,9 +296,9 @@ def build_structure(spec, x, ivset=None, match=None, grid=None):
     row; None is `default_covariate_grid`); x is appended when missing,
     and where pi'x' is constant over the rows only the endpoint rows stay
     in ``structure.grid``.  With ``grid=x`` the two-layer families are
-    the widest ones.  Returns the structure, its ``values`` as name ->
-    member array.  Raises RuntimeError when the pairwise expectation
-    contradicts a set membership.
+    the widest ones.  The group cells come from one `group_cells` call:
+    at x alone when the support is degenerate, else at x followed by
+    the grid rows.
     """
     ivset = ivset or identity_iv_set(spec.n_instruments)
     match = match or MatchConfig()
@@ -267,143 +308,55 @@ def build_structure(spec, x, ivset=None, match=None, grid=None):
         if grid.shape[1] != x.size:
             raise ValueError("covariate grid dimension mismatch")
     partition = SupportPartition(spec, ivset)
-    one = partition.spec_cells(spec, x)  # (1, T) cells: a batch of one
-    p11o, p10o, pown = (c[0] for c in one)
-    support = CpsSupport.merged(pown, partition.gmass)
-    T = pown.size
-    fams = {form: _Family(role, form, np.arange(n), np.full(n, -1), np.full(n, -1))
-            for form, role, n in (("marg_L", "sup", 1), ("marg_U", "inf", 1),
-                                  ("p_lo", "inf", T))}
+    support = CpsSupport.merged(partition.spec_propensity(spec, x)[0], partition.gmass)
     if support.degenerate:
-        structure = BoundsStructure(x, x[None], partition, None, support, fams)
-        structure.values = {k: v[0] for k, v in _values(structure, one, None, None).items()}
-        return structure
-
-    if grid is None:
-        grid = default_covariate_grid(spec)
-    own_row = np.where(np.all(np.abs(grid - x) <= _TIE, axis=1))[0]
-    if len(own_row) == 0:
-        grid = np.vstack([grid, x])
-        own_idx = grid.shape[0] - 1
+        grid = points = x[None]
     else:
-        own_idx = int(own_row[0])
+        grid, own_idx, sets = _solve_rows(spec, x, grid)
+        points = np.vstack([x, grid])
+    # (N, T) cells at x, then at the grid rows of a relevant solve
+    c11, c10, cp = partition.spec_cells(spec, points)
+    own = (c11[:1], c10[:1], cp[:1])  # (1, T): a batch of one
+    fams, values = {}, {}
+    for form, role in _OWN_FORMS.items():
+        n = cp.shape[1] if form == "p_lo" else 1
+        fams[form] = _Family(role, form, np.ones((n, 1), dtype=bool), np.full((n, 1), -1))
+        values[form] = _own_values(form, own, partition.gmass)[0]
+    if support.degenerate:
+        return BoundsStructure(x, grid, partition, None, support, fams, values)
 
-    beta = np.asarray(spec.beta)
-    v1x = spec.alpha + float(np.dot(beta, x))
-    v0x = float(np.dot(beta, x))
-    v1g = spec.alpha + grid @ beta
-    v0g = grid @ beta
-    sets = {
-        "x0p": v1g >= v0x - _TIE,
-        "x0m": v1g <= v0x + _TIE,
-        "x1p": v1x >= v0g - _TIE,
-        "x1m": v1x <= v0g + _TIE,
-    }
-    if grid.shape[0] > 1 and np.ptp(np.array([spec.pi]) @ grid.T) == 0.0:
-        # endpoint rows (module docstring): per pattern of set flags and
-        # strict latent signs, the lowest and highest beta'x' and x; a
-        # one-row grid (the widest-only report) has none to drop
-        signs = [s for gap in (v1g - v0x, v1x - v0g) for s in (gap < -_TIE, gap > _TIE)]
-        flags = np.column_stack([*sets.values(), *signs])
-        pattern = flags @ (1 << np.arange(flags.shape[1]))
-        order = np.lexsort((v0g, pattern))
-        cut = np.flatnonzero(np.diff(pattern[order])) + 1
-        keep = np.unique(np.r_[order[np.r_[0, cut]], order[np.r_[cut - 1, -1]], own_idx])
-        grid, v1g, v0g = grid[keep], v1g[keep], v0g[keep]
-        sets = {name: member[keep] for name, member in sets.items()}
-        own_idx = int(np.searchsorted(keep, own_idx))
-
-    p11G, p10G, p_grid = partition.spec_cells(spec, grid)  # all (G, T)
-    G = grid.shape[0]
-    # nearest attainable propensity per (outer group t, grid row), over
-    # the (T, G, T) distances; ties go to the smaller value
-    jstar = _nearest(p_grid[None], pown[:, None, None])
-    pstar = p_grid[np.arange(G), jstar]
+    pown = cp[0]
+    # nearest attainable propensity per (outer group t, column c) over the
+    # (T, G + 1, T) distances, ties to the smaller value; column 0 is x,
+    # where it stands in for the bare member
+    jstar = _nearest(cp[None], pown[:, None, None])
+    cols = np.arange(cp.shape[0])
+    pstar = cp[cols, jstar]
     grid_ok = np.abs(pstar - pown[:, None]) <= match.tolerance_c
-
-    fams.update(_build_families(grid_ok, pstar, jstar, sets, own_idx))
-
-    structure = BoundsStructure(x, grid, partition, None, support, fams)
-    arrays = {
-        "pown": pown, "p11o": p11o, "p10o": p10o,
-        "pstar": pstar, "p11G": p11G, "p10G": p10G,
-        "grid_ok": grid_ok, "jstar": jstar,
-        "v1g": v1g, "v0g": v0g, "v1x": v1x, "v0x": v0x,
-    }
-    mism = _h_sign_check(structure, arrays)
-    if mism:
-        raise RuntimeError(f"sign of pairwise expectation disagrees with "
-                           f"the latent comparison at grid rows {mism[:3]}")
-    cells = (p11G[None], p10G[None], p_grid[None])
-    values = _values(structure, one, cells, np.arange(G))
-    structure.sign = int(ate_signs(structure, values)[0])
-    structure.values = {k: v[0] for k, v in values.items()}
-    return structure
+    in_tie = (pstar > _TIE) & (pstar < 1.0 - _TIE)
+    own_t = tuple(c[0][:, None] for c in own)
+    matched = (c11[cols, jstar], c10[cols, jstar], pstar)
+    bare = cols == 0
+    own_cols = bare | (cols == own_idx + 1)
+    for form, role, flag, conditional in _TWO_LAYER_FORMS:
+        mask = grid_ok & in_tie if conditional else grid_ok.copy()
+        mask[:, 1:] &= sets[flag]
+        mask[:, 0] = True  # the bare member
+        member = _member_values(form, own_t, matched, bare)
+        # the widest families are the two-layer ones over x' = x alone
+        for name, admit in (("sv_" + form, mask), ("w_" + form, mask & own_cols)):
+            fams[name] = _Family(role, form, admit, jstar)
+            values[name] = member[admit]
+    return BoundsStructure(x, grid, partition, int(_signs(*own)[0]), support, fams, values)
 
 
 def ate_signs(structure, values):
-    """ATE sign at each of R parameter points, the families fixed:
-    the sign of Pr[Y=1 | x, p] at the largest propensity minus that at
-    the smallest, 0 within 1e-12.  ``values`` holds (R, members) family
-    values; the bare sv_L1 and sv_L0 members are the own cells p11, p10."""
-    p11 = values["sv_L1"][:, structure.families["sv_L1"].g < 0]
-    p10 = values["sv_L0"][:, structure.families["sv_L0"].g < 0]
-    pown = values["p_lo"]
-    rows = np.arange(pown.shape[0])
-    pry1 = p11 + p10
-    diff = pry1[rows, pown.argmax(axis=1)] - pry1[rows, pown.argmin(axis=1)]
-    return np.where(np.abs(diff) <= 1e-12, 0, np.sign(diff)).astype(int)
-
-
-def _h_sign_check(structure, arrays):
-    """Population consistency check: the numeric pairwise expectation H
-    must share the sign of the latent-index comparison that defined the
-    set memberships.  Returns the offending grid rows as (row, H, latent)
-    tuples in row order.
-
-    The rectangle contrast is evaluated at approximately matched
-    propensities, which perturbs it by at most the matching slack, so a
-    sign disagreement only counts when |H| exceeds that slack.
-    """
-    pown = arrays["pown"]
-    gmass = structure.partition.gmass
-    p11o, p10o = arrays["p11o"], arrays["p10o"]
-    pstar, jstar = arrays["pstar"], arrays["jstar"]
-    p11G, p10G = arrays["p11G"], arrays["p10G"]
-    ok = arrays["grid_ok"]
-    v1g, v0g = arrays["v1g"], arrays["v0g"]
-    v1x, v0x = arrays["v1x"], arrays["v0x"]
-    G = ok.shape[1]
-    rows = np.arange(G)
-    # matched grid cells per (t, g)
-    m11 = p11G[rows[None, :], jstar]  # (T, G)
-    m10 = p10G[rows[None, :], jstar]
-    slack_t = np.abs(pstar - pown[:, None])  # (T, G)
-    # pair (t, s) with p_t above p_s, both matched at the grid row
-    order = (pown[:, None] > pown[None, :] + _TIE)
-    valid = (order[:, :, None]
-             & ok[:, None, :] & ok[None, :, :]
-             & (pstar[:, None, :] > pstar[None, :, :] + _TIE))
-    w = (gmass[:, None] * gmass[None, :])[:, :, None] * valid
-    wsum = w.sum(axis=(0, 1))
-    h_fwd = (m11[:, None, :] - m11[None, :, :]
-             + (p10o[:, None] - p10o[None, :])[:, :, None])
-    h_rev = ((p11o[:, None] - p11o[None, :])[:, :, None]
-             + m10[:, None, :] - m10[None, :, :])
-    pair_slack = slack_t[:, None, :] + slack_t[None, :, :]
-    live = np.nonzero(wsum > 0)[0]
-
-    def mean(arr):
-        # weighted mean over the (t, s) pairs, every live grid row at once
-        return np.einsum("tsg,tsg->g", w, arr)[live] / wsum[live]
-
-    tol = mean(pair_slack) + 1e-10
-    mism = []
-    for hval, lat in ((mean(h_fwd), v1g[live] - v0x), (mean(h_rev), v1x - v0g[live])):
-        bad = ((hval > tol) & (lat < -_TIE)) | ((hval < -tol) & (lat > _TIE))
-        mism += zip(live[bad].tolist(), hval[bad].tolist(), lat[bad].tolist())
-    # row order; at a shared row the forward contrast comes first
-    return sorted(mism, key=lambda m: m[0])
+    """ATE sign at each of R parameter points, the families fixed (see
+    `_signs`).  ``values`` holds (R, members) family values; the bare
+    sv_L1 and sv_L0 members are the own cells p11, p10."""
+    fams = structure.families
+    return _signs(values["sv_L1"][:, fams["sv_L1"].g < 0],
+                  values["sv_L0"][:, fams["sv_L0"].g < 0], values["p_lo"])
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +510,28 @@ def evaluate_draws(structure, alphas, betas, pis, gammas, rhos):
     ``gammas`` (R, m).  Returns dict name -> (R, members).  Only the grid
     rows some family references are evaluated, in chunks of draws.
     """
-    G = structure.grid.shape[0]
-    rows = np.unique(np.concatenate([f.g[f.g >= 0] for f in structure.families.values()]))
-    pos = np.full(G, -1)
-    pos[rows] = np.arange(rows.size)
+    families = structure.families
+    rows = np.unique(np.concatenate([f.g[f.g >= 0] for f in families.values()]))
+    # the point of each member column: x for the bare member, else its row
+    at = np.zeros(structure.grid.shape[0] + 1, dtype=int)
+    at[rows + 1] = np.arange(1, rows.size + 1)
     points = np.vstack([structure.x, structure.grid[rows]])
+    gmass = structure.partition.gmass
     R = alphas.size
-    out = {name: np.empty((R, fam.t.size)) for name, fam in structure.families.items()}
+    out = {name: np.empty((R, fam.t.size)) for name, fam in families.items()}
     for lo in range(0, R, _DRAW_CHUNK):
         sl = slice(lo, lo + _DRAW_CHUNK)
         cells = structure.partition.group_cells(
             alphas[sl], betas[sl], pis[sl], gammas[sl], rhos[sl], points)
         own = tuple(c[:, 0] for c in cells)
-        grid = tuple(c[:, 1:] for c in cells)
-        for name, vals in _values(structure, own, grid, pos).items():
-            out[name][sl] = vals
+        for name, fam in families.items():
+            if fam.form in _OWN_FORMS:
+                out[name][sl] = _own_values(fam.form, own, gmass)
+            else:
+                t, g, j = fam.members
+                out[name][sl] = _member_values(
+                    fam.form, tuple(c[:, t] for c in own),
+                    tuple(c[:, at[g + 1], j] for c in cells), g < 0)
     return out
 
 

@@ -11,8 +11,9 @@ copula with dependence rho.  This module evaluates latent indices, the
 conditional propensity score (CPS) and its support under an instrument
 subset, the four (y,d) cell probabilities at a given propensity, and the
 true conditional ATE.  `SupportPartition` groups the instrument support
-under a subset and gives the group cells for batches of parameter values;
-the bound engine in `bounds` and `cps_support` both use it.
+under a subset and gives the group cells for batches of parameter values
+and the group propensities alone; the bound engine in `bounds` and
+`cps_support` both use it.
 """
 
 from __future__ import annotations
@@ -259,6 +260,10 @@ class SupportPartition:
     def n_groups(self):
         return self.gmass.size
 
+    def _raw_propensity(self, pi, gamma, points):
+        # Phi(pi'x + gamma'z) at every raw support point: (R, N, S)
+        return ndtr((pi @ points.T)[..., None] + (gamma @ self.z_raw.T)[:, None, :])
+
     def group_cells(self, alpha, beta, pi, gamma, rho, points):
         """Observable cells per group for R parameter values at N
         covariate points: (R, N, T) arrays (p11, p10, p).
@@ -270,21 +275,33 @@ class SupportPartition:
         raw support, not the cell at the averaged propensity.
         """
         v0 = beta @ points.T
-        q = ndtr((pi @ points.T)[..., None] + (gamma @ self.z_raw.T)[:, None, :])
+        q = self._raw_propensity(pi, gamma, points)
         c11, c10, _, _ = cell_probs_arrays((alpha[:, None] + v0)[..., None], v0[..., None],
                                            q, rho[:, None, None])
         return c11 @ self.weights, c10 @ self.weights, q @ self.weights
 
     def spec_cells(self, spec, points):
         """`group_cells` at the parameters of ``spec``: (N, T) arrays."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != spec.n_covariates:
-            raise ValueError(f"covariate points have {points.shape[1]} coordinates, "
-                             f"the model has {spec.n_covariates}")
         cells = self.group_cells(np.array([spec.alpha]), np.array([spec.beta]),
                                  np.array([spec.pi]), np.array([spec.gamma]),
-                                 np.array([spec.rho]), points)
+                                 np.array([spec.rho]), _spec_points(spec, points))
         return tuple(c[0] for c in cells)
+
+    def spec_propensity(self, spec, points):
+        """The group propensities of `spec_cells`, (N, T), without the
+        bivariate kernel: Phi(pi'x + gamma'z) mixed over each group's raw
+        support with the within-group masses."""
+        q = self._raw_propensity(np.array([spec.pi]), np.array([spec.gamma]),
+                                 _spec_points(spec, points))
+        return (q @ self.weights)[0]
+
+
+def _spec_points(spec, points):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != spec.n_covariates:
+        raise ValueError(f"covariate points have {points.shape[1]} coordinates, "
+                         f"the model has {spec.n_covariates}")
+    return points
 
 
 def cps_support(spec, x, ivset=None):
@@ -296,7 +313,7 @@ def cps_support(spec, x, ivset=None):
     merged.
     """
     partition = SupportPartition(spec, ivset or identity_iv_set(spec.n_instruments))
-    _, _, p = partition.spec_cells(spec, _as_vector(x, spec.n_covariates, "x"))
+    p = partition.spec_propensity(spec, _as_vector(x, spec.n_covariates, "x"))
     return CpsSupport.merged(p[0], partition.gmass)
 
 

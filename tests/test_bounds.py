@@ -5,7 +5,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ivpower import bounds
 from ivpower.bounds import (Interval, MatchConfig, assemble, build_structure,
                             default_covariate_grid, evaluate_structure,
                             identify_sign, iip, iip_average, manski_bounds,
@@ -14,7 +13,7 @@ from ivpower.dgp import (DgpSpec, Discrete, IvSet, JointDiscrete, Normal,
                          SupportPartition, identity_iv_set, true_ate)
 from ivpower.simulation import model2_spec, model3_spec, standard_iv_sets
 from oracle_sv import oracle_report
-from test_solve_arrays import loop_grid_stage
+from test_solve_arrays import lattice_with, loop_grid_stage, loop_h_sign_check
 
 X0 = np.array([0.0])
 
@@ -123,10 +122,9 @@ def test_model3_reports_match_reference_enumerator():
 
 def test_model2_endpoint_rows_match_the_full_lattice():
     # with pi = 0 the solve keeps a few endpoint rows of the 801-row
-    # lattice; the oracle enumerates every row, and the sign check built
-    # on the whole lattice must find nothing the endpoint rows could hide.
-    # beta 0.25, alpha 1, x = 0 puts a zero forward gap at x' = -4;
-    # x = 0.005 is off the lattice
+    # lattice; the oracle enumerates every row, and the sign identity
+    # holds on the whole lattice.  beta 0.25, alpha 1, x = 0 puts a zero
+    # forward gap at x' = -4; x = 0.005 is off the lattice
     match = MatchConfig()
     ivset = identity_iv_set(1)
     for beta, alpha, (gamma, rho), x in itertools.product(
@@ -135,13 +133,10 @@ def test_model2_endpoint_rows_match_the_full_lattice():
         spec = replace(model2_spec(beta=beta, gamma=gamma, rho=rho), alpha=alpha)
         x = np.array([x])
         assert_report_matches_oracle(spec, x, ivset, match, tol=1e-12)
-        lattice = default_covariate_grid(spec)
-        if not np.any(np.all(np.abs(lattice - x) <= 1e-12, axis=1)):
-            lattice = np.vstack([lattice, x])
-        structure, _, arrays = loop_grid_stage(spec, x, ivset, lattice)
+        structure, _, arrays = loop_grid_stage(spec, x, ivset, lattice_with(spec, x))
         if arrays is not None:
             assert structure.grid.shape[0] <= 7
-            assert bounds._h_sign_check(structure, arrays) == []
+            assert loop_h_sign_check(structure, arrays) == []
 
 
 @pytest.mark.parametrize("cov,rho", list(_TRUE_ROWS))

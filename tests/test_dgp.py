@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr as norm_cdf
 
+from ivpower import dgp
 from ivpower.dgp import (CpsSupport, DgpSpec, Discrete, IvSet, JointDiscrete,
                          Normal, SupportPartition, cell_probs_arrays, cps_support,
                          identity_iv_set, iv_support, nu1, spec_from_dict,
@@ -207,6 +208,24 @@ def test_cps_subset_conditioning_is_mixture():
                    for v, q in zip(z2.values, z2.probs))
         assert pv == pytest.approx(want, abs=1e-12)
         assert mass == pytest.approx(0.5, abs=1e-12)
+
+
+def test_propensities_need_no_bivariate_kernel(monkeypatch):
+    # the group propensities are the third group cell, and the CPS
+    # support is built from them without a kernel call
+    spec = model3_spec(rho=0.5)
+    ivset = standard_iv_sets()[2]
+    partition = SupportPartition(spec, ivset)
+    points = np.array([[-1.0], [0.0], [2.5]])
+    cells_p = partition.spec_cells(spec, points)[2]
+    want = cps_support(spec, X0, ivset)
+
+    def no_kernel(*args):
+        raise AssertionError("bivariate kernel evaluated")
+
+    monkeypatch.setattr(dgp, "binorm_cdf", no_kernel)
+    np.testing.assert_array_equal(partition.spec_propensity(spec, points), cells_p)
+    assert cps_support(spec, X0, ivset) == want
 
 
 # this check guards values that can come from outside input, so it must

@@ -1,19 +1,47 @@
-"""The array-built grid stage of the solve against plain-loop copies.
+"""The array-built solve against plain-loop copies, and the identity
+behind its memberships.
 
-`bounds.build_structure` matches propensities, builds the sup/inf
-families and runs the pairwise sign check as whole-array operations over
-the T own-support groups and G grid rows.  The loops below are the per-row
-formulation they replaced, kept as the reference: on the same inputs the
-family (t, g, j) arrays and the mismatch list must come out identical.
+`bounds.build_structure` matches propensities and builds the sup/inf
+families as whole-array operations over the T own-support groups and G
+grid rows.  The loops below are the per-row formulation they replaced,
+kept as the reference: on the cells of the solve's own `group_cells`
+call the family (t, g, j) arrays must come out identical.
+
+`loop_h_sign_check` is the pairwise sign identity of the two-layer bounds
+(Shaikh & Vytlacil 2011, Econometrica 79): each pairwise expectation H
+has the sign of the latent-index comparison that set the memberships.
+It holds for every `DgpSpec`, so the solve does not run it; the tests
+below assert that no row disagrees.
 """
+
+import contextlib
+import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ivpower import bounds
-from ivpower.bounds import MatchConfig, build_structure, default_covariate_grid
-from ivpower.dgp import _TIE, identity_iv_set
+from ivpower.bounds import (MatchConfig, build_structure, default_covariate_grid,
+                            population_report)
+from ivpower.dgp import _TIE, IvSet, SupportPartition, identity_iv_set
 from ivpower.simulation import model2_spec, model3_spec, standard_iv_sets
+
+
+@contextlib.contextmanager
+def group_cells_calls():
+    """Every `SupportPartition.group_cells` call made inside the block, as
+    (points, cells) pairs."""
+    calls = []
+    group_cells = SupportPartition.group_cells
+
+    def recording(self, alpha, beta, pi, gamma, rho, points):
+        cells = group_cells(self, alpha, beta, pi, gamma, rho, points)
+        calls.append((points, cells))
+        return cells
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SupportPartition, "group_cells", recording)
+        yield calls
 
 
 def loop_match(p_grid, pown):
@@ -92,17 +120,25 @@ def loop_h_sign_check(structure, arrays):
 
 
 def loop_grid_stage(spec, x, ivset, grid=None):
-    """A solved structure, with the loop families and the check's arrays
-    rebuilt from its partition on ``grid`` (rows holding x; None is the
-    structure's own grid)."""
+    """A solved structure, with the loop families and the sign check's
+    arrays rebuilt from the cells of its one `group_cells` call (x, then
+    its grid rows); a ``grid`` (rows holding x) takes its cells from a
+    call of its own."""
     match = MatchConfig()
-    structure = build_structure(spec, x, ivset, match)
+    with group_cells_calls() as calls:
+        structure = build_structure(spec, x, ivset, match)
+    assert len(calls) == 1
+    points, cells = calls[0]
     if structure.sign is None:
         return structure, None, None
-    partition = structure.partition
-    grid = structure.grid if grid is None else grid
-    p11o, p10o, pown = (c[0] for c in partition.spec_cells(spec, x))
-    p11G, p10G, p_grid = partition.spec_cells(spec, grid)
+    np.testing.assert_array_equal(points, np.vstack([x, structure.grid]))
+    c11, c10, cp = (c[0] for c in cells)
+    p11o, p10o, pown = c11[0], c10[0], cp[0]
+    if grid is None:
+        grid = structure.grid
+        p11G, p10G, p_grid = c11[1:], c10[1:], cp[1:]
+    else:
+        p11G, p10G, p_grid = structure.partition.spec_cells(spec, grid)
     pstar, jstar = loop_match(p_grid, pown)
     grid_ok = np.abs(pstar - pown[:, None]) <= match.tolerance_c
     beta = np.asarray(spec.beta)
@@ -120,6 +156,14 @@ def loop_grid_stage(spec, x, ivset, grid=None):
               "grid_ok": grid_ok, "jstar": jstar,
               "v1g": v1g, "v0g": v0g, "v1x": v1x, "v0x": v0x}
     return structure, fams, arrays
+
+
+def lattice_with(spec, x):
+    """The default covariate grid, with x appended when it is off it."""
+    lattice = default_covariate_grid(spec)
+    if not np.any(np.all(np.abs(lattice - x) <= _TIE, axis=1)):
+        lattice = np.vstack([lattice, x])
+    return lattice
 
 
 def _cases():
@@ -150,48 +194,58 @@ def test_grid_stage_matches_the_loops(spec, ivsets):
                 for got, exp in zip((fam.t, fam.g, fam.j), want):
                     assert got.dtype == exp.dtype
                     np.testing.assert_array_equal(got, exp)
-            assert bounds._h_sign_check(structure, arrays) == loop_h_sign_check(structure, arrays)
+            assert loop_h_sign_check(structure, arrays) == []
 
 
-def _flip_latent(arrays):
-    """Every latent index negated: each comparison behind a set
-    membership reverses, while the observable contrasts stay."""
-    return dict(arrays, **{k: -np.asarray(arrays[k]) for k in ("v1g", "v0g", "v1x", "v0x")})
+def test_sign_identity_holds_on_the_criterion_7_corners():
+    # the corners of the `surface` lattice, and the mirrored design, with
+    # the check built on the full 801-row lattice, not the endpoint rows
+    x = np.array([0.0])
+    for beta, gamma, rho, alpha in itertools.product(
+            (0.05, 0.45), (-4.0, 4.0), (-0.99, 0.99), (1.0, -1.0)):
+        spec = replace(model2_spec(beta=beta, gamma=gamma, rho=rho), alpha=alpha)
+        structure, _, arrays = loop_grid_stage(
+            spec, x, identity_iv_set(1), lattice_with(spec, x))
+        assert loop_h_sign_check(structure, arrays) == []
+        # not vacuous: with every latent index negated, each comparison
+        # behind a membership reverses and rows disagree
+        flipped = dict(arrays, **{k: -np.asarray(arrays[k])
+                                  for k in ("v1g", "v0g", "v1x", "v0x")})
+        assert loop_h_sign_check(structure, flipped)
 
 
-_MODEL2 = model2_spec(beta=0.25, gamma=1.0, rho=0.5)
+def test_sign_identity_holds_on_the_model3_sweep():
+    # model 3 with a normal covariate: rho from -0.95 to 0.85, x in
+    # {-1, 0, 1}, the five standard sets, 195 reports on the 802-row grid
+    for rho in np.round(np.arange(-0.95, 0.86, 0.15), 10):
+        spec = model3_spec(rho=float(rho))
+        for x, ivset in itertools.product((-1.0, 0.0, 1.0), standard_iv_sets()):
+            structure, _, arrays = loop_grid_stage(spec, np.array([x]), ivset)
+            assert loop_h_sign_check(structure, arrays) == []
 
 
-@pytest.mark.parametrize("spec, x, grid, want_rows", [
-    # Bernoulli covariate, grid {0, 1}, x = 0, latent gaps v1g - v0x = 1 + g
-    # and v1x - v0g = 1 - g: the forward contrast fails at both rows, the
-    # reverse one only at row 0, where its gap is not zero
-    (model3_spec(rho=0.5, covariate="bernoulli"), 0.0, None, [0, 0, 1]),
-    # model 2 on the full 801-row lattice (x = 0 is row 400), not the
-    # solve's endpoint rows: the forward gap 1 + 0.25 x' is zero only at
-    # x' = -4 (row 0), the reverse gap 1 - 0.25 x' only at x' = 4 (row 800)
-    (_MODEL2, 0.0, default_covariate_grid(_MODEL2),
-     [0] + [g for g in range(1, 800) for _ in range(2)] + [800]),
-], ids=["model3-bernoulli", "model2-lattice"])
-def test_h_sign_check_reports_every_flipped_row(spec, x, grid, want_rows):
-    ivset = identity_iv_set(spec.n_instruments)
-    structure, _, arrays = loop_grid_stage(spec, np.array([x]), ivset, grid)
-    assert bounds._h_sign_check(structure, arrays) == []
-    flipped = _flip_latent(arrays)
-    mism = bounds._h_sign_check(structure, flipped)
-    assert [row for row, _, _ in mism] == want_rows
-    # each offending H has the sign the flipped latent comparison denies
-    assert all(h * lat < 0 for _, h, lat in mism)
-    want = loop_h_sign_check(structure, flipped)
-    assert [(row, lat) for row, _, lat in mism] == [(row, lat) for row, _, lat in want]
-    np.testing.assert_allclose([h for _, h, _ in mism], [h for _, h, _ in want],
-                               rtol=1e-12, atol=0)
+def test_a_relevant_report_makes_one_kernel_call():
+    # model 2 on the 801-row lattice: one call at x and at most 9
+    # endpoint rows
+    x = np.array([0.0])
+    with group_cells_calls() as calls:
+        rep = population_report(model2_spec(), x)
+    assert rep.sign == 1
+    assert len(calls) == 1
+    points, cells = calls[0]
+    assert 2 <= points.shape[0] <= 10
+    np.testing.assert_array_equal(points[0], x)
+    assert all(c.shape == (1, points.shape[0], 2) for c in cells)
 
 
-def test_solve_raises_when_the_sign_check_fails(monkeypatch):
-    check = bounds._h_sign_check
-    monkeypatch.setattr(bounds, "_h_sign_check",
-                        lambda structure, arrays: check(structure, _flip_latent(arrays)))
-    spec = model3_spec(rho=0.5, covariate="bernoulli")
-    with pytest.raises(RuntimeError, match=r"grid rows \[\(0, "):
-        bounds.population_report(spec, np.array([0.0]), standard_iv_sets()[3])
+def test_an_irrelevant_report_makes_one_kernel_call_at_x():
+    # z3 has gamma 0, so its CPS support is one point; the solve decides
+    # that from the propensities and evaluates the cells at x alone, not
+    # on the 802-row grid
+    x = np.array([0.5])
+    with group_cells_calls() as calls:
+        rep = population_report(model3_spec(rho=0.5), x, IvSet("z3", use=(2,)))
+    assert rep.irrelevant and rep.iip == 0.0
+    assert len(calls) == 1
+    points, _ = calls[0]
+    np.testing.assert_array_equal(points, x[None])
