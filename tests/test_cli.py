@@ -8,8 +8,8 @@ import pytest
 
 import ivpower.cli as cli
 from ivpower.cli import (ConfigError, ROW_COLUMNS, _collect_ivsets,
-                         _parse_ivset, _parse_values, kernel_weights, main,
-                         report_row, report_to_dict, silverman_bandwidth, write_csv)
+                         _parse_ivset, _parse_values, _relevance_pvalue, kernel_weights,
+                         main, report_row, report_to_dict, silverman_bandwidth, write_csv)
 from ivpower.bounds import Interval, population_report
 from ivpower.dgp import spec_from_dict, to_dict
 from ivpower.estimation import (Dataset, FitResult, HmueConfig, estimated_report,
@@ -501,6 +501,47 @@ def test_rank_ivs_breaks_iip_ties_by_interval_width(tmp_path, data_path, monkeyp
     assert set(rows[0]) == {"rank", "iv_set", "IIP", "IIP_point", "boot_sd", "ci_lo",
                             "ci_hi", "relevance_p", "boot_failures",
                             "possibly_irrelevant"}
+
+
+def _wald_fit(stat, df):
+    """A fit whose df gamma coefficients have the Wald statistic ``stat``:
+    coef (stat, 0, ...) with vcov diag(stat, 1, ...) solves to exactly
+    stat, and coef (1e200, 0, ...) with the identity overflows to inf."""
+    params = np.zeros(df + 1)
+    vcov = np.eye(df + 1)
+    if math.isinf(stat):
+        params[1] = 1e200
+    elif stat > 0.0:
+        params[1] = vcov[1, 1] = stat
+    coef, block = params[1:], vcov[1:, 1:]
+    with np.errstate(over="ignore"):
+        assert coef @ np.linalg.solve(block, coef) == stat
+    return FitResult(params=params,
+                     names=("alpha",) + tuple(f"gamma{j + 1}" for j in range(df)),
+                     loglik=-1.0, vcov=vcov, converged=True, iterations=1)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4])
+def test_relevance_pvalue_matches_chi2_sf(df):
+    from scipy.stats import chi2
+    for stat in (0.0, 1e-300, 1e-3, 1.0, 10.0, 700.0, 1e4, math.inf):
+        fit = _wald_fit(stat, df)
+        with np.errstate(over="ignore"):
+            assert _relevance_pvalue(fit) == chi2.sf(stat, df), stat
+
+
+def test_relevance_pvalue_of_a_stat_that_rounds_below_zero():
+    # an indefinite vcov block can give a Wald stat just below 0; chi2.sf
+    # reads that as 1, and so must the p-value, where bare chdtrc gives NaN
+    from scipy.special import chdtrc
+    from scipy.stats import chi2
+    fit = FitResult(params=np.array([0.3, 1e-8, 0.0]), names=("alpha", "gamma1", "gamma2"),
+                    loglik=-1.0, vcov=np.diag([1.0, -1.0, 1.0]), converged=True,
+                    iterations=1)
+    stat = fit.params[1:] @ np.linalg.solve(fit.vcov[1:, 1:], fit.params[1:])
+    assert -1e-15 < stat < 0.0
+    assert math.isnan(chdtrc(2, stat))
+    assert _relevance_pvalue(fit) == chi2.sf(stat, 2) == 1.0
 
 
 def test_empirical_command(tmp_path, data_path):
