@@ -95,7 +95,8 @@ __all__ = [
 # default covariate lattice for a normal covariate: mean +/- 4 sd in 0.01 steps
 _GRID_STEP = 0.01
 _GRID_SPAN_SD = 4.0
-# parameter draws evaluated together; bounds the kernel's temporaries
+# parameter draws evaluated together; bounds the (draws, rows, groups)
+# cells of each `group_cells` call in `evaluate_draws`
 _DRAW_CHUNK = 128
 
 
@@ -326,10 +327,10 @@ def build_structure(spec, x, ivset=None, match=None, grid=None):
         return BoundsStructure(x, grid, partition, None, support, fams, values)
 
     pown = cp[0]
-    # nearest attainable propensity per (outer group t, column c) over the
-    # (T, G + 1, T) distances, ties to the smaller value; column 0 is x,
-    # where it stands in for the bare member
-    jstar = _nearest(cp[None], pown[:, None, None])
+    # nearest attainable propensity per (outer group t, column c), ties
+    # to the smaller value, one outer group at a time over its (G + 1, T)
+    # distances; column 0 is x, where it stands in for the bare member
+    jstar = np.array([_nearest(cp, p_t) for p_t in pown])
     cols = np.arange(cp.shape[0])
     pstar = cp[cols, jstar]
     grid_ok = np.abs(pstar - pown[:, None]) <= match.tolerance_c

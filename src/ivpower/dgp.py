@@ -45,6 +45,9 @@ __all__ = [
 _PROB_TOL = 1e-12
 # propensities closer than this are one CPS support point
 _TIE = 1e-12
+# (draw, covariate row, raw support point) triples per kernel call of
+# `SupportPartition.group_cells`; bounds its temporaries
+_BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -272,13 +275,23 @@ class SupportPartition:
         ``gamma`` (R, m) and ``points`` (N, k).  Conditioning on a
         used-instrument group leaves the omitted instruments random, so
         each cell is the mass-weighted mixture of cells over the group's
-        raw support, not the cell at the averaged propensity.
+        raw support, not the cell at the averaged propensity.  The points
+        go through the kernel in blocks of rows holding at most
+        `_BLOCK_POINTS` (draw, row, raw point) triples, at least one row
+        each, so its temporaries do not grow with N.
         """
-        v0 = beta @ points.T
-        q = self._raw_propensity(pi, gamma, points)
-        c11, c10, _, _ = cell_probs_arrays((alpha[:, None] + v0)[..., None], v0[..., None],
-                                           q, rho[:, None, None])
-        return c11 @ self.weights, c10 @ self.weights, q @ self.weights
+        R, N = alpha.size, points.shape[0]
+        step = max(1, _BLOCK_POINTS // (R * self.z_raw.shape[0]))
+        out = tuple(np.empty((R, N, self.n_groups)) for _ in range(3))
+        for lo in range(0, N, step):
+            block = points[lo:lo + step]
+            v0 = beta @ block.T
+            q = self._raw_propensity(pi, gamma, block)
+            c11, c10, _, _ = cell_probs_arrays((alpha[:, None] + v0)[..., None], v0[..., None],
+                                               q, rho[:, None, None])
+            for o, c in zip(out, (c11, c10, q)):
+                o[:, lo:lo + step] = c @ self.weights
+        return out
 
     def spec_cells(self, spec, points):
         """`group_cells` at the parameters of ``spec``: (N, T) arrays."""

@@ -1,11 +1,13 @@
 """The array-built solve against plain-loop copies, and the identity
 behind its memberships.
 
-`bounds.build_structure` matches propensities and builds the sup/inf
-families as whole-array operations over the T own-support groups and G
-grid rows.  The loops below are the per-row formulation they replaced,
-kept as the reference: on the cells of the solve's own `group_cells`
-call the family (t, g, j) arrays must come out identical.
+`bounds.build_structure` matches propensities one outer group at a time
+and builds the sup/inf families as whole-array operations over the T
+own-support groups and G grid rows.  The loops below are the per-row
+formulation they replaced, kept as the reference: on the cells of the
+solve's own `group_cells` call the family (t, g, j) arrays must come out
+identical.  The tests at the end hold the row blocks of `group_cells`
+and the per-group matching to the whole-array results.
 
 `loop_h_sign_check` is the pairwise sign identity of the two-layer bounds
 (Shaikh & Vytlacil 2011, Econometrica 79): each pairwise expectation H
@@ -21,9 +23,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ivpower.bounds import (MatchConfig, build_structure, default_covariate_grid,
+from ivpower.bounds import (MatchConfig, _nearest, build_structure, default_covariate_grid,
                             population_report)
-from ivpower.dgp import _TIE, IvSet, SupportPartition, identity_iv_set
+from ivpower.dgp import _BLOCK_POINTS, _TIE, IvSet, SupportPartition, identity_iv_set
 from ivpower.simulation import model2_spec, model3_spec, standard_iv_sets
 
 
@@ -249,3 +251,48 @@ def test_an_irrelevant_report_makes_one_kernel_call_at_x():
     assert len(calls) == 1
     points, _ = calls[0]
     np.testing.assert_array_equal(points, x[None])
+
+
+def _model3_draws(R, seed):
+    """R parameter draws around model 3, as (alpha, beta, pi, gamma, rho)."""
+    rng = np.random.default_rng(seed)
+    return (1.0 + 0.1 * rng.standard_normal(R), 1.0 + 0.1 * rng.standard_normal((R, 1)),
+            -1.0 + 0.1 * rng.standard_normal((R, 1)),
+            np.array([0.5, 0.2, 0.0]) + 0.1 * rng.standard_normal((R, 3)),
+            np.clip(0.5 + 0.1 * rng.standard_normal(R), -0.9, 0.9))
+
+
+@pytest.mark.parametrize("R", [1, 130])
+def test_group_cells_blocks_equal_row_by_row_calls(R):
+    # model 3 on the lattice, x first: 802 rows against 28 raw support
+    # points, so the call runs in blocks; every row must come out as it
+    # does when evaluated alone
+    spec = model3_spec(rho=0.5)
+    partition = SupportPartition(spec, standard_iv_sets()[4])
+    points = np.vstack([[0.0], default_covariate_grid(spec)])
+    assert R * points.shape[0] * partition.z_raw.shape[0] > _BLOCK_POINTS
+    draws = _model3_draws(R, seed=R)
+    cells = partition.group_cells(*draws, points)
+    assert all(c.shape == (R, points.shape[0], partition.n_groups) for c in cells)
+    for i in range(points.shape[0]):
+        alone = partition.group_cells(*draws, points[i:i + 1])
+        for got, want in zip(cells, alone):
+            np.testing.assert_allclose(got[:, i:i + 1], want, rtol=0, atol=1e-15)
+
+
+def test_per_group_matching_equals_the_distance_cube():
+    # item-1 sweep: the matched group of each (outer group, column) found
+    # one outer group at a time equals the (T, G + 1, T) cube's
+    for rho in np.round(np.arange(-0.95, 0.86, 0.15), 10):
+        spec = model3_spec(rho=float(rho))
+        for x, ivset in itertools.product((-1.0, 0.0, 1.0), standard_iv_sets()):
+            with group_cells_calls() as calls:
+                structure = build_structure(spec, np.array([x]), ivset)
+            if structure.sign is None:
+                continue
+            cp = calls[0][1][2][0]
+            cube = _nearest(cp[None], cp[0][:, None, None])
+            for name, fam in structure.families.items():
+                if name.startswith(("sv_", "w_")):
+                    np.testing.assert_array_equal(fam.jstar, cube)
+
