@@ -380,14 +380,37 @@ def biprobit_loglik(theta, data):
                            hessian=False)
 
 
+def _lpm_start(y, design, intercept):
+    """Probit start values from the linear-probability fit of ``y``.
+
+    Amemiya (1981, Journal of Economic Literature 19): probit slopes are
+    about 2.5 times the LPM slopes and the intercept about 2.5 times the
+    LPM intercept minus 1.25, close enough for Newton's quadratic basin.
+    The p x p normal equations are solved, not the n x p least-squares
+    problem, whose LAPACK routine (`lstsq`) wakes BLAS threads that
+    busy-wait in forked workers.  Dependent columns (a duplicated or
+    constant one) raise RuntimeError here: the information is then
+    singular, but `_newton`'s Cholesky test can pass on its rounding.
+    """
+    gram = design.T @ design
+    if np.linalg.matrix_rank(gram) < gram.shape[0]:
+        raise RuntimeError("singular or indefinite information: the design columns are "
+                           "linearly dependent, so the model is not identified")
+    coef = 2.5 * np.linalg.solve(gram, design.T @ y)
+    coef[intercept] -= 1.25
+    return coef
+
+
 def fit_bivariate_probit(data):
     """Joint MLE of the outcome and treatment threshold equations.
 
     The dependence parameter is optimized as rho_z with rho = tanh(rho_z)
-    so the search is unconstrained; it starts from the two marginal
-    probits and rho_z = 0.  Raises RuntimeError when `_newton` fails and
-    when the likelihood at rho = +-1 is as high as at the fit (an MLE on
-    the boundary, which tanh reaches only as rho_z -> +-inf).
+    so the search is unconstrained; it starts from each equation's
+    rescaled linear-probability fit (`_lpm_start`) and rho_z = 0.  Raises
+    RuntimeError when a design's columns are linearly dependent, when
+    `_newton` fails and when the likelihood at rho = +-1 is as high as at
+    the fit (an MLE on the boundary, which tanh reaches only as rho_z ->
+    +-inf).
     """
     if data.n_instruments < 1:
         raise ValueError("at least one instrument column is required")
@@ -395,8 +418,7 @@ def fit_bivariate_probit(data):
     names = ("alpha", *(f"beta{j}" for j in range(k + 1)), *(f"pi{j}" for j in range(k + 1)),
              *(f"gamma{j}" for j in range(1, data.n_instruments + 1)), "rho_z")
     r1, r2, s1, s2 = _joint_designs(data)
-    start = np.concatenate([fit_probit(data.y, r1, names[:k + 2]).params,
-                            fit_probit(data.d, r2, names[k + 2:-1]).params, [0.0]])
+    start = np.concatenate([_lpm_start(data.y, r1, 1), _lpm_start(data.d, r2, 0), [0.0]])
     theta, ll, vcov, converged, iterations = _newton(
         lambda t: _biprobit_terms(t, r1, r2, s1, s2, hessian=True), start, _MAX_ITER)
     # the likelihood at rho = sign(rho_z), where Phi2 is a Frechet bound

@@ -337,15 +337,28 @@ def test_non_finite_cell_exits_3(tmp_path, capsys):
     assert "non-finite values in x" in capsys.readouterr().err
 
 
-def test_perfectly_separated_data_exits_4(tmp_path, capsys):
-    # y = d: the outcome equation predicts y exactly from d, so the
-    # likelihood has no interior maximum
+def _estimate_separated(tmp_path, flip):
     data = generate_sample(SPEC, 400, rng_stream(5))
     path = tmp_path / "separated.csv"
-    write_dataset_csv(Dataset(y=data.d, d=data.d, x=data.x, z=data.z), str(path))
-    assert main(["estimate", "--data", str(path), "--hmue-sims", "100",
-                 "--out", str(tmp_path / "out")]) == 4
-    assert "joint fit for all: singular or indefinite information" in capsys.readouterr().err
+    y = 1.0 - data.d if flip else data.d
+    write_dataset_csv(Dataset(y=y, d=data.d, x=data.x, z=data.z), str(path))
+    return main(["estimate", "--data", str(path), "--hmue-sims", "100",
+                 "--out", str(tmp_path / "out")])
+
+
+def test_perfectly_separated_data_exits_4(tmp_path, capsys):
+    # y = d: the outcome equation predicts y exactly from d, so the
+    # likelihood has no interior maximum; it rises all the way to rho = +1
+    assert _estimate_separated(tmp_path, flip=False) == 4
+    assert ("joint fit for all: the MLE is on the boundary rho = +1"
+            in capsys.readouterr().err)
+
+
+def test_mirrored_separated_data_exits_4(tmp_path, capsys):
+    # y = 1 - d: the mirror, whose likelihood rises to rho = -1
+    assert _estimate_separated(tmp_path, flip=True) == 4
+    assert ("joint fit for all: the MLE is on the boundary rho = -1"
+            in capsys.readouterr().err)
 
 
 def test_numerical_failure_exits_4(tmp_path, data_path, monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 import ivpower.estimation as est
 from ivpower.bounds import (Interval, MatchConfig, ate_signs, build_structure,
                             evaluate_draws, evaluate_structure)
-from ivpower.dgp import Discrete, IvSet, JointDiscrete, Normal
+from ivpower.dgp import Discrete, IvSet, JointDiscrete, Normal, identity_iv_set
 from ivpower.estimation import (Dataset, FitResult, HmueConfig, biprobit_loglik,
                                 bootstrap_dispersion, estimated_report,
                                 fit_bivariate_probit, fit_probit, fit_set,
@@ -85,13 +85,19 @@ def test_converged_fit_has_a_vanishing_gradient_and_inverse_information(n, seed,
                                np.eye(fit.params.size), atol=1e-9)
 
 
+def _lpm_joint_start(y, d, r1, r2):
+    """`fit_bivariate_probit`'s start: columns 1 of r1 and 0 of r2 are the
+    intercepts."""
+    return np.concatenate([est._lpm_start(y, r1, 1), est._lpm_start(d, r2, 0), [0.0]])
+
+
 def test_newton_step_climbs_away_from_a_saddle_start():
-    # at the probit start the information has a negative eigenvalue, so a
-    # plain Newton step would descend; the step on |eigenvalues| climbs
+    # at the linear-probability start the information has a negative
+    # eigenvalue, so a plain Newton step would descend; the step on
+    # |eigenvalues| climbs
     data = _sample(5000, seed=3, rho=0.9)
     r1, r2, s1, s2 = est._joint_designs(data)
-    start = np.concatenate([fit_probit(data.y, r1, ()).params,
-                            fit_probit(data.d, r2, ()).params, [0.0]])
+    start = _lpm_joint_start(data.y, data.d, r1, r2)
     assert np.linalg.eigvalsh(_information(start, data))[0] < -1.0
     fit = fit_bivariate_probit(data)
     assert fit.converged and fit.iterations <= 10
@@ -112,6 +118,53 @@ def test_singular_information_raises():
     design = np.column_stack([np.ones(data.n), data.x[:, 0], data.x[:, 0]])
     with pytest.raises(RuntimeError, match="singular or indefinite"):
         fit_probit(data.d, design, ("const", "x1", "x1copy"))
+
+
+@pytest.mark.parametrize("n,seed", [(300, 3), (500, 5), (2000, 5)])
+@pytest.mark.parametrize("kind", ["duplicated", "constant"])
+@pytest.mark.parametrize("j", [0, 1])
+def test_dependent_instrument_columns_are_a_named_failure(n, seed, kind, j):
+    # the information is singular in exact arithmetic, but `_newton`'s
+    # Cholesky test can pass on its rounding: with a constant column at
+    # (500, 5) and (2000, 5), Newton from converged marginal probits gives a
+    # "converged" fit whose vcov has an eigenvalue near 1e13
+    data = _sample(n, seed=seed)
+    other = data.z[:, j] if kind == "duplicated" else np.ones(data.n)
+    sub = Dataset(y=data.y, d=data.d, x=data.x, z=np.column_stack([data.z[:, j], other]))
+    with pytest.raises(RuntimeError, match="joint fit for all: singular or indefinite information"):
+        fit_set(sub, identity_iv_set(2))
+
+
+def test_joint_fit_needs_no_marginal_probit(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("fit_probit called")
+
+    monkeypatch.setattr(est, "fit_probit", boom)
+    fit = fit_bivariate_probit(_sample(500))
+    assert fit.converged
+
+
+@pytest.mark.parametrize("rho", [-0.5, 0.5, 0.9])
+@pytest.mark.parametrize("n", [500, 5000])
+def test_linear_probability_start_reaches_the_marginal_probit_start_maximum(rho, n):
+    # the start only has to land in Newton's quadratic basin: from converged
+    # marginal probits (rho_z 0) and from the rescaled linear-probability
+    # start the joint fit reaches the same maximum
+    data = _sample(n, rho=rho)
+    for ivset in standard_iv_sets()[:4]:
+        r1, r2, s1, s2 = est._joint_designs(
+            Dataset(y=data.y, d=data.d, x=data.x, z=ivset.columns(data.z)))
+
+        def terms(theta):
+            return est._biprobit_terms(theta, r1, r2, s1, s2, hessian=True)
+
+        probit = np.concatenate([fit_probit(data.y, r1, ()).params,
+                                 fit_probit(data.d, r2, ()).params, [0.0]])
+        lpm = _lpm_joint_start(data.y, data.d, r1, r2)
+        old, new = est._newton(terms, probit, 100), est._newton(terms, lpm, 100)
+        assert old[3] and new[3], ivset.name
+        np.testing.assert_allclose(new[0], old[0], rtol=0, atol=1e-7, err_msg=ivset.name)
+        assert new[1] == pytest.approx(old[1], rel=0, abs=1e-9), ivset.name
 
 
 def test_newton_stops_at_a_zero_eigenvalue():
