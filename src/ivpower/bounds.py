@@ -44,7 +44,9 @@ Every quantity comes out of one bound engine, in five steps:
    own cells and takes each family's members through its mask; a sup or
    inf step is one max or min over them.  `evaluate_draws` gathers the
    members' cells at R parameter draws with the structure frozen (a
-   point estimate is a batch of one);
+   point estimate is a batch of one), each member's matched group from
+   the structure's one matching array ``jstar``, and returns each
+   draw's ATE sign from that draw's own-point cells;
 5. assembly: `assemble` turns the sup/inf steps into the benchmark,
    widest and two-layer intervals and C1-C4, for population reports,
    plug-in estimates and corrected estimates alike.
@@ -88,7 +90,6 @@ __all__ = [
     "build_structure",
     "evaluate_structure",
     "evaluate_draws",
-    "ate_signs",
     "assemble",
 ]
 
@@ -154,25 +155,22 @@ class _Family:
     """One sup or inf step.
 
     ``mask[t, c]`` marks its members: column 0 is the bare member of outer
-    group t, column g + 1 the member at grid row g, matched to support
-    group ``jstar[t, c]``.  ``t``, ``g`` and ``j`` are the `np.nonzero`
-    view of the mask, t-major, with ``g`` and ``j`` -1 for the bare
+    group t, column g + 1 the member at grid row g.  ``t`` and ``g`` are
+    the `np.nonzero` view of the mask, t-major, with ``g`` -1 for the bare
     member; they are built on first use.
     """
 
     role: str  # "sup" or "inf"
-    form: str  # "L1", "U0", "U1", "L0", "marg_L", "marg_U", "p_lo"
+    form: str  # "L1", "U0", "U1", "L0", "marg_L", "marg_U"
     mask: np.ndarray
-    jstar: np.ndarray
 
     @cached_property
     def members(self):
         t, col = np.nonzero(self.mask)
-        return t, col - 1, np.where(col > 0, self.jstar[t, col], -1)
+        return t, col - 1
 
     t = property(lambda self: self.members[0])
     g = property(lambda self: self.members[1])
-    j = property(lambda self: self.members[2])
 
 
 @dataclass
@@ -181,9 +179,11 @@ class BoundsStructure:
     parameter values with the membership and matching fixed.
 
     ``sign`` is None when the CPS support at ``x`` is degenerate; the
-    structure then holds only the benchmark families.  ``values`` holds
-    each family's member values at the parameters it was built at, in
-    the order of its ``t``, ``g`` and ``j``.
+    structure then holds only the benchmark families and ``jstar`` is
+    None.  ``values`` holds each family's member values at the parameters
+    it was built at, in the order of its ``t`` and ``g``.  ``jstar[t, c]``
+    is the support group matched to outer group t in column c of every
+    two-layer family's mask.
     """
 
     x: np.ndarray
@@ -193,11 +193,11 @@ class BoundsStructure:
     support: CpsSupport
     families: dict
     values: dict
+    jstar: object
 
 
-# the forms that read the own-point cells alone, by role; p_lo has one
-# member per outer group, the others one member
-_OWN_FORMS = {"marg_L": "sup", "marg_U": "inf", "p_lo": "inf"}
+# the benchmark forms, which read the own-point cells alone, by role
+_OWN_FORMS = {"marg_L": "sup", "marg_U": "inf"}
 # the two-layer forms: (form, role, set flag, conditional), where a
 # conditional member needs an interior matched propensity
 _TWO_LAYER_FORMS = (("L1", "sup", "x1p", False), ("U0", "inf", "x0p", True),
@@ -205,14 +205,12 @@ _TWO_LAYER_FORMS = (("L1", "sup", "x1p", False), ("U0", "inf", "x0p", True),
 
 
 def _own_values(form, own, gmass):
-    """Member values (R, members) of an own-point form from the (R, T)
-    own-point group cells ``own`` (p11, p10, p)."""
+    """Values (R, 1) of a benchmark form from the (R, T) own-point group
+    cells ``own`` (p11, p10, p)."""
     p11, p10, p = own
     if form == "marg_L":
         return (-(p10 @ gmass) - ((p - p11) @ gmass))[:, None]
-    if form == "marg_U":
-        return ((p11 @ gmass) + ((1.0 - p10 - p) @ gmass))[:, None]
-    return p
+    return ((p11 @ gmass) + ((1.0 - p10 - p) @ gmass))[:, None]
 
 
 def _member_values(form, own, matched, bare):
@@ -320,11 +318,10 @@ def build_structure(spec, x, ivset=None, match=None, grid=None):
     own = (c11[:1], c10[:1], cp[:1])  # (1, T): a batch of one
     fams, values = {}, {}
     for form, role in _OWN_FORMS.items():
-        n = cp.shape[1] if form == "p_lo" else 1
-        fams[form] = _Family(role, form, np.ones((n, 1), dtype=bool), np.full((n, 1), -1))
+        fams[form] = _Family(role, form, np.ones((1, 1), dtype=bool))
         values[form] = _own_values(form, own, partition.gmass)[0]
     if support.degenerate:
-        return BoundsStructure(x, grid, partition, None, support, fams, values)
+        return BoundsStructure(x, grid, partition, None, support, fams, values, None)
 
     pown = cp[0]
     # nearest attainable propensity per (outer group t, column c), ties
@@ -346,18 +343,9 @@ def build_structure(spec, x, ivset=None, match=None, grid=None):
         member = _member_values(form, own_t, matched, bare)
         # the widest families are the two-layer ones over x' = x alone
         for name, admit in (("sv_" + form, mask), ("w_" + form, mask & own_cols)):
-            fams[name] = _Family(role, form, admit, jstar)
+            fams[name] = _Family(role, form, admit)
             values[name] = member[admit]
-    return BoundsStructure(x, grid, partition, int(_signs(*own)[0]), support, fams, values)
-
-
-def ate_signs(structure, values):
-    """ATE sign at each of R parameter points, the families fixed (see
-    `_signs`).  ``values`` holds (R, members) family values; the bare
-    sv_L1 and sv_L0 members are the own cells p11, p10."""
-    fams = structure.families
-    return _signs(values["sv_L1"][:, fams["sv_L1"].g < 0],
-                  values["sv_L0"][:, fams["sv_L0"].g < 0], values["p_lo"])
+    return BoundsStructure(x, grid, partition, int(_signs(*own)[0]), support, fams, values, jstar)
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +493,13 @@ def iip_average(spec, ivset, x_weights):
 # ---------------------------------------------------------------------------
 
 def evaluate_draws(structure, alphas, betas, pis, gammas, rhos):
-    """Member values of every family at R parameter draws.
+    """Member values of every family, and the ATE sign, at R parameter
+    draws.
 
     ``alphas`` and ``rhos`` are (R,), ``betas`` and ``pis`` (R, k) and
-    ``gammas`` (R, m).  Returns dict name -> (R, members).  Only the grid
-    rows some family references are evaluated, in chunks of draws.
+    ``gammas`` (R, m).  Returns (dict name -> (R, members), (R,) signs),
+    each draw's sign from its own-point cells (see `_signs`).  Only the
+    grid rows some family references are evaluated, in chunks of draws.
     """
     families = structure.families
     rows = np.unique(np.concatenate([f.g[f.g >= 0] for f in families.values()]))
@@ -520,25 +510,27 @@ def evaluate_draws(structure, alphas, betas, pis, gammas, rhos):
     gmass = structure.partition.gmass
     R = alphas.size
     out = {name: np.empty((R, fam.t.size)) for name, fam in families.items()}
+    signs = np.empty(R, dtype=int)
     for lo in range(0, R, _DRAW_CHUNK):
         sl = slice(lo, lo + _DRAW_CHUNK)
         cells = structure.partition.group_cells(
             alphas[sl], betas[sl], pis[sl], gammas[sl], rhos[sl], points)
         own = tuple(c[:, 0] for c in cells)
+        signs[sl] = _signs(*own)
         for name, fam in families.items():
             if fam.form in _OWN_FORMS:
                 out[name][sl] = _own_values(fam.form, own, gmass)
             else:
-                t, g, j = fam.members
+                t, g = fam.members
                 out[name][sl] = _member_values(
                     fam.form, tuple(c[:, t] for c in own),
-                    tuple(c[:, at[g + 1], j] for c in cells), g < 0)
-    return out
+                    tuple(c[:, at[g + 1], structure.jstar[t, g + 1]] for c in cells), g < 0)
+    return out, signs
 
 
 def evaluate_structure(structure, alpha, beta, pi, gamma, rho):
     """Member values of every family at one parameter point."""
-    values = evaluate_draws(
+    values, _ = evaluate_draws(
         structure, np.array([float(alpha)]), np.array([beta], dtype=float),
         np.array([pi], dtype=float), np.array([gamma], dtype=float),
         np.array([float(rho)]))

@@ -25,7 +25,7 @@ from scipy.special import chdtrc, ndtr
 
 from .bounds import (NUMERIC_COLUMNS, REPORT_COLUMNS, MatchConfig, population_report,
                      report_columns)
-from .dgp import IvSet, spec_from_dict, to_dict
+from .dgp import IvSet, identity_iv_set, spec_from_dict, to_dict
 from .estimation import (
     GRID_LEVELS, Dataset, EstimatedReport, HmueConfig,
     bootstrap_dispersion, estimated_report, fit_probit, fit_set,
@@ -205,7 +205,7 @@ def _collect_ivsets(args, n_instruments):
     for text in args.iv_set or ():
         sets.append(_parse_ivset(text, n_instruments))
     if not sets:
-        sets.append(IvSet("all", use=tuple(range(n_instruments))))
+        sets.append(identity_iv_set(n_instruments))
     names = [s.name for s in sets]
     if len(set(names)) != len(names):
         raise ConfigError("instrument set names must be unique")

@@ -50,6 +50,13 @@ _TIE = 1e-12
 _BLOCK_POINTS = 4096
 
 
+def _check_finite(record, *names):
+    # ValueError naming the first of the fields ``names`` that holds a NaN or inf
+    for name in names:
+        if not np.all(np.isfinite(np.asarray(getattr(record, name), dtype=float))):
+            raise ValueError(f"{type(record).__name__} {name} must be finite")
+
+
 @dataclass(frozen=True)
 class Discrete:
     """Discrete scalar distribution with explicit masses."""
@@ -58,6 +65,7 @@ class Discrete:
     probs: tuple
 
     def __post_init__(self):
+        _check_finite(self, "values", "probs")
         if len(self.values) != len(self.probs):
             raise ValueError("values and probs length mismatch")
         if abs(sum(self.probs) - 1.0) > _PROB_TOL:
@@ -78,6 +86,7 @@ class JointDiscrete:
     probs: tuple
 
     def __post_init__(self):
+        _check_finite(self, "values", "probs")
         if len(self.values) != len(self.probs):
             raise ValueError("values and probs length mismatch")
         if abs(sum(self.probs) - 1.0) > _PROB_TOL:
@@ -90,6 +99,7 @@ class Normal:
     sd: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "mean", "sd")
         if self.sd <= 0:
             raise ValueError("sd must be positive")
 
@@ -170,8 +180,8 @@ class IvSet:
         return np.column_stack(cols)
 
 
-def identity_iv_set(n_instruments, name="all"):
-    return IvSet(name, use=tuple(range(n_instruments)))
+def identity_iv_set(n_instruments):
+    return IvSet("all", use=tuple(range(n_instruments)))
 
 
 @dataclass(frozen=True)

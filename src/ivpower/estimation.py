@@ -30,7 +30,6 @@ from .bounds import (
     BoundsReport,
     Interval,
     assemble,
-    ate_signs,
     build_structure,
     evaluate_draws,
     population_report,
@@ -535,8 +534,6 @@ def _corrected_steps(structure, point_vals, fam_draws, quantiles):
     """
     out = {q: {} for q in quantiles}
     for name, fam in structure.families.items():
-        if fam.form == "p_lo":
-            continue
         v = point_vals[name]
         draws = fam_draws[name]
         s = np.maximum(draws.std(axis=0, ddof=1), 1e-12)
@@ -626,8 +623,8 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None, grid=No
     rng = rng_stream(hmue.seed)
     draws = rng.multivariate_normal(fit.params, fit.vcov,
                                     size=hmue.n_sim, method="eigh")
-    fam_draws = evaluate_draws(structure, *unpack_params(draws, data.n_covariates))
-    flip_rate = float(np.mean(ate_signs(structure, fam_draws) != sign))
+    fam_draws, signs = evaluate_draws(structure, *unpack_params(draws, data.n_covariates))
+    flip_rate = float(np.mean(signs != sign))
 
     quantiles = sorted({_step_quantile(q) for q in hmue.levels} | {0.5})
     steps = _corrected_steps(structure, point_vals, fam_draws, quantiles)

@@ -445,6 +445,27 @@ def test_non_finite_spec_file_exits_2(tmp_path, field, value, capsys):
     assert not (tmp_path / "bounds.csv").exists()
 
 
+_DISCRETE_IV = {"type": "discrete", "values": [-1.0, 1.0], "probs": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("field, dist, message", [
+    ("iv_dists", [dict(_DISCRETE_IV, values=[-1.0, math.nan])], "Discrete values"),
+    ("iv_dists", [dict(_DISCRETE_IV, probs=[math.nan, 0.5])], "Discrete probs"),
+    ("iv_dists", {"type": "joint_discrete", "values": [[-1.0], [math.inf]],
+                  "probs": [0.5, 0.5]}, "JointDiscrete values"),
+    ("covariate_dist", {"type": "normal", "mean": 0.0, "sd": math.nan}, "Normal sd"),
+    ("covariate_dist", {"type": "normal", "mean": math.inf, "sd": 1.0}, "Normal mean"),
+])
+def test_non_finite_distribution_in_spec_file_exits_2(tmp_path, field, dist, message,
+                                                      capsys):
+    # a NaN support point wrote NaN bounds and then crashed on the sign
+    out = tmp_path / "out"
+    spec = _model2_spec_file(tmp_path, **{field: dist})
+    assert main(["dgp-bounds", "--spec", spec, "--out", str(out)]) == 2
+    assert f"{message} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_surface_takes_one_evaluation_point(tmp_path, capsys):
     # a second --x was dropped without a word
     out = tmp_path / "out"

@@ -167,6 +167,26 @@ def test_distribution_validation():
         JointDiscrete(((0.0,), (1.0,)), (0.9,))
 
 
+# one maker per distribution field that must be finite
+_FINITE_FIELDS = {
+    "Discrete values": lambda bad: Discrete((0.0, bad), (0.5, 0.5)),
+    "Discrete probs": lambda bad: Discrete((0.0, 1.0), (bad, 0.5)),
+    "JointDiscrete values": lambda bad: JointDiscrete(((0.0, 1.0), (bad, 1.0)), (0.5, 0.5)),
+    "JointDiscrete probs": lambda bad: JointDiscrete(((0.0,), (1.0,)), (0.5, bad)),
+    "Normal mean": lambda bad: Normal(bad, 1.0),
+    "Normal sd": lambda bad: Normal(0.0, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", list(_FINITE_FIELDS))
+def test_distributions_reject_non_finite_fields(field, bad):
+    # a NaN support point or mass passed every other check and reached the
+    # bounds; a NaN or infinite sd or mean failed only deep in the grid
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        _FINITE_FIELDS[field](bad)
+
+
 def test_spec_validation():
     cov = Normal(0.0, 1.0)
     iv = (Discrete((0.0, 1.0), (0.5, 0.5)),)

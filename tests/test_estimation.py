@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import ivpower.estimation as est
-from ivpower.bounds import (Interval, MatchConfig, ate_signs, build_structure,
-                            evaluate_draws, evaluate_structure)
+from ivpower.bounds import (Interval, MatchConfig, build_structure, evaluate_draws,
+                            evaluate_structure)
 from ivpower.dgp import Discrete, IvSet, JointDiscrete, Normal, identity_iv_set
 from ivpower.estimation import (Dataset, FitResult, HmueConfig, biprobit_loglik,
                                 bootstrap_dispersion, estimated_report,
@@ -374,13 +374,17 @@ def test_draw_family_values_matches_structure_evaluation():
     pis = -0.9 + 0.1 * rng.standard_normal((R, 1))
     gammas = np.array([0.4, 0.25, 0.1]) + 0.1 * rng.standard_normal((R, 3))
     rhos = np.clip(0.45 + 0.1 * rng.standard_normal(R), -0.9, 0.9)
-    draws = evaluate_draws(structure, alphas, betas, pis, gammas, rhos)
+    draws, signs = evaluate_draws(structure, alphas, betas, pis, gammas, rhos)
     assert set(draws) == set(structure.families)
+    assert signs.shape == (R,)
     for r in range(R):
         point = evaluate_structure(structure, alphas[r], betas[r], pis[r],
                                    gammas[r], rhos[r])
         for name, vals in point.items():
             np.testing.assert_allclose(draws[name][r], vals, rtol=0, atol=1e-15)
+        _, one = evaluate_draws(structure, alphas[r:r + 1], betas[r:r + 1], pis[r:r + 1],
+                                gammas[r:r + 1], rhos[r:r + 1])
+        assert one.tolist() == [signs[r]]
 
 
 def test_bootstrap_dispersion_is_deterministic():
@@ -432,8 +436,8 @@ def test_ate_signs_at_the_point_estimate_give_the_structure_sign():
         spec = replace(model3_spec(rho=rho, covariate="bernoulli"), alpha=alpha)
         structure = build_structure(spec, np.array([x]), standard_iv_sets()[3],
                                     MatchConfig())
-        one = evaluate_draws(structure, np.array([spec.alpha]), np.array([spec.beta]),
-                             np.array([spec.pi]), np.array([spec.gamma]),
-                             np.array([spec.rho]))
+        _, signs = evaluate_draws(structure, np.array([spec.alpha]), np.array([spec.beta]),
+                                  np.array([spec.pi]), np.array([spec.gamma]),
+                                  np.array([spec.rho]))
         assert structure.sign == (1 if alpha > 0 else -1)
-        assert ate_signs(structure, one).tolist() == [structure.sign]
+        assert signs.tolist() == [structure.sign]
