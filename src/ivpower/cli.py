@@ -93,9 +93,10 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, payload):
-    """``payload`` in its `to_dict` form, indented two spaces."""
+    """``payload`` in its `to_dict` form, indented two spaces; a non-finite
+    number is null, and one that `to_dict` missed raises ValueError."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(payload), fh, indent=2)
+        json.dump(to_dict(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -271,11 +272,8 @@ def cmd_surface(args):
 def cmd_simulate(args):
     spec = load_spec(args.spec)
     iv_sets = _collect_ivsets(args, spec.n_instruments)
-    sizes = _parse_values(args.sizes)
-    if not all(v.is_integer() for v in sizes):
-        raise ConfigError(f"--sizes takes whole numbers, got {args.sizes!r}")
     design = McDesign(
-        spec=spec, iv_sets=iv_sets, sample_sizes=[int(v) for v in sizes],
+        spec=spec, iv_sets=iv_sets, sample_sizes=_parse_values(args.sizes),
         replications=args.replications,
         x_eval=_one_point(args, spec.n_covariates),
         seed=args.seed, hmue=HmueConfig(n_sim=args.hmue_sims),
@@ -460,10 +458,10 @@ def empirical_curves(data, iv_sets, match, bandwidth=None):
     curves = []
     fits = {}
     for ivset in iv_sets:
-        fit, spec_hat, iv_id = fit_set(index_data, ivset)
+        fit, spec_hat = fit_set(index_data, ivset)
         fits[ivset.name] = fit
         for j, g in enumerate(grid):
-            rep = population_report(spec_hat, grid_aug[j], iv_id, match, grid=grid_aug)
+            rep = population_report(spec_hat, grid_aug[j], match=match, grid=grid_aug)
             row = report_columns(rep)
             lo, up = pr_agree[j] - 1.0, pr_agree[j]
             if rep.irrelevant:

@@ -18,6 +18,7 @@ and the group propensities alone; the bound engine in `bounds` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -391,7 +392,8 @@ def to_dict(record):
     """JSON-ready form of a record: a dataclass is an object of its fields
     in declaration order, led by ``"type"`` for a distribution; a dict stays
     a dict, a tuple (a NamedTuple such as `bounds.Interval` too) or list
-    becomes a list, and an array or numpy scalar its Python value."""
+    becomes a list, an array or numpy scalar its Python value, and a
+    non-finite float None, since JSON has no NaN or infinity."""
     if is_dataclass(record):
         out = {"type": _DIST_TYPES[type(record)]} if type(record) in _DIST_TYPES else {}
         out.update((f.name, to_dict(getattr(record, f.name))) for f in fields(record))
@@ -401,7 +403,9 @@ def to_dict(record):
     if isinstance(record, (tuple, list)):
         return [to_dict(value) for value in record]
     if isinstance(record, (np.ndarray, np.generic)):
-        return record.tolist()
+        return to_dict(record.tolist())
+    if isinstance(record, float) and not math.isfinite(record):
+        return None
     return record
 
 

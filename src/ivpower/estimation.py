@@ -1,15 +1,18 @@
 """Maximum-likelihood estimation and corrected bound estimates.
 
 Every likelihood is maximized by `_newton` on closed-form terms (the
-probit's, and Greene's bivariate-probit Hessian in `_biprobit_terms`);
-a fit that fails raises instead of being repaired.
+probit's, and Greene's bivariate-probit Hessian in `_biprobit_terms`),
+which runs up to `_MAX_ITER` steps and returns the `FitResult`; a fit
+that fails raises instead of being repaired.
 
 Every finite-sample result takes one path.  `fit_set` fits the joint
 threshold-crossing model by maximum likelihood on an instrument set's
 columns and maps the fit to a plug-in `DgpSpec` whose covariate row is
 (1, x) (`with_intercept`), so the intercepts ride along as a constant
-covariate; `unpack_params` is the one reading of the parameter layout, for
-the estimate and for parameter draws alike.  The two-layer bounds use the
+covariate, and whose instruments are exactly the set's columns, so the
+bound engine evaluates it with its default set, every instrument;
+`unpack_params` is the one reading of the parameter layout, for the
+estimate and for parameter draws alike.  The two-layer bounds use the
 1%-99% quantile grid of the covariate (`quantile_grid`).  The bound engine in
 `bounds` evaluates the plug-in families at the estimate and at draws from
 its asymptotic normal, and `_corrected_steps` shifts every sup/inf step
@@ -244,17 +247,17 @@ def with_intercept(points):
     return np.concatenate([np.ones(points.shape[:-1] + (1,)), points], axis=-1)
 
 
-def _newton(terms, start, max_iter):
-    """Maximize a log-likelihood by Newton steps from ``start``.
+def _newton(terms, start, names):
+    """Maximize a log-likelihood by up to `_MAX_ITER` Newton steps from
+    ``start`` and return the `FitResult` with parameter ``names``.
 
     ``terms(coef)`` gives (log-likelihood, gradient, information).  A step
     solves against the information with its eigenvalues in absolute value
     (Newton where the likelihood is concave, ascent at a saddle) and is
     halved until the trial terms are finite and the log-likelihood does
     not fall; the search stops after 20 failed trials or at a step that
-    is not finite (a zero eigenvalue).  Returns (coef, ll, vcov, converged,
-    iterations): converged is max|grad| < 1e-8, vcov the Cholesky inverse
-    of the information.
+    is not finite (a zero eigenvalue).  The record is converged when
+    max|grad| < 1e-8; its vcov is the Cholesky inverse of the information.
     """
     coef = np.asarray(start, dtype=float)
     # overflow at a far trial point is caught as non-finite terms
@@ -263,7 +266,7 @@ def _newton(terms, start, max_iter):
         if not _finite((ll, grad, info)):
             raise RuntimeError("non-finite likelihood terms at the start values")
         iterations = 0
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, _MAX_ITER + 1):
             if np.max(np.abs(grad)) < _GRAD_TOL:
                 break
             vals, vecs = np.linalg.eigh(info)
@@ -285,7 +288,8 @@ def _newton(terms, start, max_iter):
     except np.linalg.LinAlgError:
         raise RuntimeError("singular or indefinite information at the fit: the maximum is "
                            "on the boundary or the model is not identified") from None
-    return coef, ll, root.T @ root, bool(np.max(np.abs(grad)) < _GRAD_TOL), iterations
+    return FitResult(names=names, params=coef, loglik=ll, vcov=root.T @ root,
+                     converged=bool(np.max(np.abs(grad)) < _GRAD_TOL), iterations=iterations)
 
 
 def _finite(terms):
@@ -297,7 +301,7 @@ def _not_below(ll, ref):
     return ll >= ref - 1e-12 * (1.0 + abs(ref))
 
 
-def fit_probit(y, design, names, max_iter=_MAX_ITER):
+def fit_probit(y, design, names):
     """Probit MLE of binary ``y`` on the columns of ``design`` by `_newton`."""
     y = np.asarray(y, dtype=float)
     design = np.asarray(design, dtype=float)
@@ -310,10 +314,7 @@ def fit_probit(y, design, names, max_iter=_MAX_ITER):
         curv = lam * (lam + w)  # negative Hessian weights, always positive
         return float(np.sum(log_p)), design.T @ lam, design.T @ (design * curv[:, None])
 
-    coef, ll, vcov, converged, iterations = _newton(
-        terms, np.zeros(design.shape[1]), max_iter)
-    return FitResult(names=tuple(names), params=coef, loglik=ll, vcov=vcov,
-                     converged=converged, iterations=iterations)
+    return _newton(terms, np.zeros(design.shape[1]), names)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +329,8 @@ def _joint_designs(data):
             2.0 * data.y - 1.0, 2.0 * data.d - 1.0)
 
 
-def _biprobit_terms(theta, r1, r2, s1, s2, hessian):
-    """Log-likelihood, gradient and (with ``hessian``) the information.
+def _biprobit_terms(theta, r1, r2, s1, s2):
+    """Log-likelihood, gradient and information.
 
     An observation adds log F, F = Phi2(a, b; r), a = s1 w1, b = s2 w2,
     r = s1 s2 rho.  With ga = F_a/F, gb = F_b/F, gr = phi2/F, D = 1 - r^2
@@ -354,8 +355,6 @@ def _biprobit_terms(theta, r1, r2, s1, s2, hessian):
     gr = np.exp(-0.5 * quad) / (2.0 * math.pi * root) / prob
     grad = np.concatenate([r1.T @ (ga * s1), r2.T @ (gb * s2),
                            [float(gr @ s12) * det]])
-    if not hessian:
-        return ll, grad
     h_aa = -a * ga - r * gr - ga * ga
     h_bb = -b * gb - r * gr - gb * gb
     h_ab = (gr - ga * gb) * s12
@@ -375,8 +374,7 @@ def _biprobit_terms(theta, r1, r2, s1, s2, hessian):
 def biprobit_loglik(theta, data):
     """Joint log-likelihood and its analytic gradient at ``theta``, laid
     out as (alpha, beta0..k, pi0..k, gamma1..m, rho_z)."""
-    return _biprobit_terms(np.asarray(theta, dtype=float), *_joint_designs(data),
-                           hessian=False)
+    return _biprobit_terms(np.asarray(theta, dtype=float), *_joint_designs(data))[:2]
 
 
 def _lpm_start(y, design, intercept):
@@ -418,20 +416,19 @@ def fit_bivariate_probit(data):
              *(f"gamma{j}" for j in range(1, data.n_instruments + 1)), "rho_z")
     r1, r2, s1, s2 = _joint_designs(data)
     start = np.concatenate([_lpm_start(data.y, r1, 1), _lpm_start(data.d, r2, 0), [0.0]])
-    theta, ll, vcov, converged, iterations = _newton(
-        lambda t: _biprobit_terms(t, r1, r2, s1, s2, hessian=True), start, _MAX_ITER)
+    fit = _newton(lambda t: _biprobit_terms(t, r1, r2, s1, s2), start, names)
+    theta = fit.params
     # the likelihood at rho = sign(rho_z), where Phi2 is a Frechet bound
     a, b = s1 * (r1 @ theta[:k + 2]), s2 * (r2 @ theta[k + 2:-1])
     edge = np.where(s1 * s2 * theta[-1] > 0.0, ndtr(np.minimum(a, b)),
                     np.maximum(ndtr(a) - ndtr(-b), 0.0))
     with np.errstate(divide="ignore"):
-        at_edge = _not_below(float(np.sum(np.log(edge))), ll)
+        at_edge = _not_below(float(np.sum(np.log(edge))), fit.loglik)
     if at_edge:
         raise RuntimeError(
             f"the MLE is on the boundary rho = {math.copysign(1.0, theta[-1]):+.0f}: "
             f"the likelihood there is as high as at the fit (rho_z = {theta[-1]:.4g})")
-    return FitResult(names=names, params=theta, loglik=ll, vcov=vcov,
-                     converged=converged, iterations=iterations)
+    return fit
 
 
 def unpack_params(theta, n_covariates):
@@ -464,26 +461,26 @@ def fitted_spec(fit, data):
 
     The intercepts ride along as a constant covariate: the returned
     spec's covariate vector is (1, x), beta = (beta0, beta') and pi = (pi0,
-    pi').  The instruments keep their empirical joint distribution with
-    an identity instrument set.  The covariate-distribution slot is a
-    placeholder; estimated evaluation always supplies an explicit grid.
+    pi').  The instruments keep their empirical joint distribution, and
+    the spec is evaluated with the bound engine's default set, every
+    instrument.  The covariate-distribution slot is a placeholder;
+    estimated evaluation always supplies an explicit grid.
     """
     alpha, beta, pi, gamma, rho = unpack_params(fit.params, data.n_covariates)
     zvals, counts = _distinct_rows(data.z)
     iv = JointDiscrete(values=tuple(tuple(v) for v in zvals),
                        probs=tuple(counts / data.n))
-    spec = DgpSpec(alpha=float(alpha), beta=tuple(beta), pi=tuple(pi),
+    return DgpSpec(alpha=float(alpha), beta=tuple(beta), pi=tuple(pi),
                    gamma=tuple(gamma), rho=float(rho),
                    covariate_dist=Normal(), iv_dists=iv)
-    return spec, identity_iv_set(data.n_instruments)
 
 
 def fit_set(data, ivset):
     """The one fit-and-plug-in: the joint fit on ``ivset``'s instrument
     columns and its plug-in spec.
 
-    Returns (fit, spec, identity instrument set); raises RuntimeError,
-    naming the set, when the fit fails or did not converge.
+    Returns (fit, spec); raises RuntimeError, naming the set, when the
+    fit fails or did not converge.
     """
     sub = Dataset(y=data.y, d=data.d, x=data.x, z=ivset.columns(data.z))
     try:
@@ -492,7 +489,7 @@ def fit_set(data, ivset):
         raise RuntimeError(f"joint fit for {ivset.name}: {exc}") from None
     if not fit.converged:
         raise RuntimeError(f"joint fit did not converge for {ivset.name}")
-    return (fit, *fitted_spec(fit, sub))
+    return fit, fitted_spec(fit, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +590,7 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None, grid=No
     if x_eval.size != data.n_covariates:
         raise ValueError("x_eval dimension does not match the data")
 
-    fit, spec_hat, iv_id = fit_set(data, ivset)
+    fit, spec_hat = fit_set(data, ivset)
     x_aug = with_intercept(x_eval)
     if grid is not None:
         grid = with_intercept(np.atleast_2d(np.asarray(grid, dtype=float)))
@@ -604,7 +601,7 @@ def estimated_report(data, ivset=None, x_eval=(), match=None, hmue=None, grid=No
     else:
         raise ValueError("an explicit covariate grid is required "
                          "with more than one covariate")
-    structure = build_structure(spec_hat, x_aug, iv_id, match, grid)
+    structure = build_structure(spec_hat, x_aug, match=match, grid=grid)
     sign = structure.sign
     point_vals = structure.values
     point = assemble(point_vals, sign)
@@ -685,9 +682,8 @@ def bootstrap_dispersion(data, ivset=None, x_eval=(), n_boot=200, seed=0):
         idx = rng_stream(seed, b).integers(0, data.n, size=data.n)
         rep = Dataset(y=data.y[idx], d=data.d[idx], x=data.x[idx], z=data.z[idx])
         try:
-            _, spec_hat, iv_id = fit_set(rep, ivset)
-            estimates.append(
-                population_report(spec_hat, x_aug, iv_id, grid=x_aug).iip)
+            _, spec_hat = fit_set(rep, ivset)
+            estimates.append(population_report(spec_hat, x_aug, grid=x_aug).iip)
         except (RuntimeError, ValueError):
             n_failed += 1
     return BootstrapResult(estimates=np.asarray(estimates, dtype=float),

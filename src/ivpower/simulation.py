@@ -159,7 +159,8 @@ class McDesign:
     def __post_init__(self):
         object.__setattr__(self, "iv_sets", tuple(self.iv_sets))
         if not all(float(n).is_integer() for n in self.sample_sizes):
-            raise ValueError("sample sizes must be whole numbers")
+            raise ValueError(f"sample sizes must be whole numbers, "
+                             f"got {tuple(self.sample_sizes)}")
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "x_eval", tuple(np.atleast_1d(self.x_eval).astype(float)))
         if self.replications < 1:
@@ -363,12 +364,9 @@ def rank_entries(entries):
     return sorted(entries, key=lambda e: (-e[1], e[2], e[0]))
 
 
-def rank_iv_sets(result, n=None):
-    """Instrument sets ordered by mean corrected identification power."""
-    if n is None:
-        if len(result.design.sample_sizes) != 1:
-            raise ValueError("result covers several sample sizes; pass n")
-        n = result.design.sample_sizes[0]
+def rank_iv_sets(result, n):
+    """Instrument sets ordered by mean corrected identification power at
+    sample size ``n``."""
     entries = []
     for ivs in result.design.iv_sets:
         means = result.cells[ivs.name, n].means

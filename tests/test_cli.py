@@ -387,12 +387,23 @@ def test_estimate_command_is_reproducible(tmp_path, data_path):
     assert payload[0]["iv_name"] == "z12"
 
 
+def _strict_json(path):
+    """The JSON document at ``path``; a bare NaN or Infinity token raises."""
+    def reject(token):
+        raise AssertionError(f"{token} is not a JSON value")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_simulate_command(tmp_path, spec_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--spec", spec_path, "--iv-set", "z1:1",
                  "--sizes", "300", "--replications", "2",
                  "--hmue-sims", "100", "--no-sv", "--out", str(out)]) == 0
-    payload = json.loads((out / "simulation.json").read_text())
+    payload = _strict_json(out / "simulation.json")
+    # dH_SV is undefined without the covariate layer: simulation.json held a
+    # bare NaN token, which RFC 8259 forbids; the CSV keeps nan
+    assert payload["cells"][0]["dH_SV"] is None
     assert payload["replications"] == 2
     assert payload["sample_sizes"] == [300]
     assert payload["failure_alarm"] is False
@@ -400,6 +411,8 @@ def test_simulate_command(tmp_path, spec_path):
     assert "z1" in payload["truth"]
     lines = (out / "simulation_wide.csv").read_text().splitlines()
     assert len(lines) == 2  # header plus one cell
+    header, row = (line.split(",") for line in lines)
+    assert row[header.index("dH_SV")] == "nan"
 
     assert main(["simulate", "--spec", spec_path, "--replications", "0"]) == 2
 
@@ -535,6 +548,23 @@ def test_rank_ivs_breaks_iip_ties_by_interval_width(tmp_path, data_path, monkeyp
     assert set(rows[0]) == {"rank", "iv_set", "IIP", "IIP_point", "boot_sd", "ci_lo",
                             "ci_hi", "relevance_p", "boot_failures",
                             "possibly_irrelevant"}
+
+
+def test_rank_ivs_writes_null_for_an_undefined_bootstrap_sd(tmp_path, data_path,
+                                                           monkeypatch):
+    # fewer than two successful bootstrap fits: the sd is nan and the
+    # interval infinite, which ranking.json held as NaN and +-Infinity tokens
+    monkeypatch.setattr(cli, "bootstrap_dispersion", lambda *a, **k: SimpleNamespace(
+        sd=math.nan, n_failed=49))
+    out = tmp_path / "undefined"
+    assert main(["rank-ivs", "--data", data_path, "--iv-set", "a:1", "--n-boot=50",
+                 "--hmue-sims=100", "--out", str(out)]) == 0
+    row = _strict_json(out / "ranking.json")[0]
+    assert (row["boot_sd"], row["ci_lo"], row["ci_hi"]) == (None, None, None)
+    header, cells = (line.split(",") for line in
+                     (out / "ranking.csv").read_text().splitlines())
+    assert [cells[header.index(k)] for k in ("boot_sd", "ci_lo", "ci_hi")] == [
+        "nan", "-inf", "inf"]
 
 
 def _wald_fit(stat, df):
@@ -718,7 +748,8 @@ def test_simulate_sizes_must_be_whole(sizes, spec_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--spec", spec_path, "--iv-set=z1:1", f"--sizes={sizes}",
                  "--replications=1", "--hmue-sims=100", "--no-sv", "--out", str(out)]) == 2
-    assert "--sizes takes whole numbers" in capsys.readouterr().err
+    got = tuple(float(v) for v in sizes.split(","))
+    assert f"sample sizes must be whole numbers, got {got}" in capsys.readouterr().err
     assert not out.exists()
 
 

